@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI gate: the main workspace must build, test, and lint with no
-# registry access (crates/bench, which needs criterion, is excluded from
-# the workspace and is exercised separately when a registry is reachable).
+# Offline CI gate: the workspace must build, test, and lint with no
+# registry access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -11,8 +10,8 @@ cargo fmt --all --check
 echo "== tier-1: build =="
 cargo build --release
 
-echo "== tier-1: test =="
-cargo test -q
+echo "== tier-1: test (every workspace crate) =="
+cargo test -q --workspace
 
 echo "== tier-1: telemetry golden schema =="
 cargo test -q --test telemetry
@@ -22,9 +21,8 @@ cargo test -q --test faults
 
 echo "== tier-1: engine determinism golden (quick scale) =="
 # Byte-identical SimReport lines against tests/golden/quick_suite.txt at
-# --jobs {1,8} x --engine-threads {1,2,8}; any engine change that shifts
-# wake times fails here before it can silently move EXPERIMENTS.md
-# numbers.
+# --jobs {1,8}; any engine change that shifts wake times fails here
+# before it can silently move EXPERIMENTS.md numbers.
 cargo test -q --test golden_identity
 
 echo "== smoke: perf snapshot writes valid v1-schema JSON =="
@@ -34,10 +32,9 @@ echo "== smoke: perf snapshot writes valid v1-schema JSON =="
 # against a floor snapshot regenerated *in this CI run*: comparing two
 # same-session runs of the same binary on the same host isolates
 # engine-speed regressions from cross-day wall-clock drift, which on
-# shared hosts reaches +/-30-80% and made a checked-in floor
-# (BENCH_baseline.json) flake in both directions. The checked-in BENCH
-# files remain as the human-readable perf trajectory; the gate no
-# longer reads them.
+# shared hosts reaches +/-30-80% and made a checked-in floor flake in
+# both directions. The checked-in BENCH files remain as the
+# human-readable perf trajectory; the gate does not read them.
 cargo test -q --test perf_snapshot
 snap="$(mktemp /tmp/fgdram_ci_snapshot.XXXXXX.json)"
 floor="$(mktemp /tmp/fgdram_ci_floor.XXXXXX.json)"
@@ -47,6 +44,10 @@ timeout 300 target/release/perf-snapshot --smoke --repeat 3 --out "$floor"
 timeout 300 target/release/perf-snapshot --smoke --repeat 3 --out "$snap" \
     --compare "$floor" --fail-below 0.6
 grep -q '"schema": "fgdram-perf-snapshot-v1"' "$snap"
+
+echo "== smoke: the removed --engine-threads flag is a usage error (exit 2) =="
+code=0; target/release/fgdram_sim run STREAM --engine-threads 2 >/dev/null 2>&1 || code=$?
+[ "$code" -eq 2 ] || { echo "expected usage exit 2 for --engine-threads, got $code"; exit 1; }
 
 echo "== smoke: fault storm terminates typed, no panic, no hang =="
 # Survivable storm window: must complete cleanly with fault counters.
@@ -73,12 +74,6 @@ spec=(--suite compute --warmup 2000 --window 6000 --max-workloads 3)
 target/release/fgdram_sim suite compute --warmup 2000 --window 6000 \
     --max-workloads 3 --jobs 2 > "$sdir/golden.txt"
 
-# The parallel engine must be invisible in the output: the same suite
-# with worker lanes on is byte-identical to the serial-engine bytes.
-target/release/fgdram_sim suite compute --warmup 2000 --window 6000 \
-    --max-workloads 3 --jobs 2 --engine-threads 4 > "$sdir/golden_threaded.txt"
-diff "$sdir/golden.txt" "$sdir/golden_threaded.txt"
-
 start_daemon() {  # extra daemon flags as args; sets serve_pid + serve_addr
     : > "$sdir/banner.txt"
     target/release/fgdram-serve --port 0 --spool "$sdir/spool" "$@" \
@@ -92,9 +87,8 @@ start_daemon() {  # extra daemon flags as args; sets serve_pid + serve_addr
     echo "fgdram-serve did not print its listen banner"; exit 1
 }
 
-# A served job must print the exact CLI suite bytes — including with the
-# daemon's engine running threaded lanes.
-start_daemon --engine-threads 2
+# A served job must print the exact CLI suite bytes.
+start_daemon
 target/release/fgdram-client submit --addr "$serve_addr" "${spec[@]}" \
     2>/dev/null > "$sdir/served.txt"
 diff "$sdir/golden.txt" "$sdir/served.txt"

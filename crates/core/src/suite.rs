@@ -119,25 +119,7 @@ impl SuiteSpec {
     ///
     /// Any [`SimError`] from the simulation.
     pub fn run_cell(&self, w: &Workload, kind: DramKind) -> Result<SuiteCell, SimError> {
-        self.run_cell_threaded(w, kind, 1)
-    }
-
-    /// [`Self::run_cell`] with the DRAM engine sharded across
-    /// `engine_threads` worker lanes. Output is byte-identical at any
-    /// value (the lane merge is deterministic), which is why the thread
-    /// count is a run-time argument here and not part of the wire-visible
-    /// spec: two jobs differing only in engine threads are the same job.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] from the simulation.
-    pub fn run_cell_threaded(
-        &self,
-        w: &Workload,
-        kind: DramKind,
-        engine_threads: usize,
-    ) -> Result<SuiteCell, SimError> {
-        let mut b = SystemBuilder::new(kind).workload(w.clone()).engine_threads(engine_threads);
+        let mut b = SystemBuilder::new(kind).workload(w.clone());
         if let Some(epoch) = self.telemetry_epoch {
             b = b.telemetry(TelemetryConfig::for_window(epoch, self.window));
         }

@@ -12,7 +12,7 @@ use fgdram_gpu::{Gpu, L2Access, L2Cache, SectorAccess};
 use fgdram_model::addr::{MemRequest, PhysAddr, ReqId};
 use fgdram_model::cmd::TimedCommand;
 use fgdram_model::config::{ConfigError, CtrlConfig, DramConfig, DramKind, GpuConfig};
-use fgdram_model::fxhash::FxHashMap;
+use fgdram_model::flatmap::FlatMap;
 use fgdram_model::units::{GbPerSec, Ns};
 use fgdram_telemetry::{Recorder, Sampled, Telemetry, TelemetryConfig};
 use fgdram_workloads::Workload;
@@ -35,6 +35,9 @@ enum Event {
     /// existed.)
     Retry(u64),
 }
+
+/// MSHR entries of the L2, hence also the bound on in-flight fills.
+const L2_MSHRS: usize = 16_384;
 
 /// Builder for a [`System`].
 ///
@@ -62,7 +65,6 @@ pub struct SystemBuilder {
     telemetry: Option<TelemetryConfig>,
     faults: Option<FaultSpec>,
     fault_seed: u64,
-    engine_threads: usize,
 }
 
 impl SystemBuilder {
@@ -79,16 +81,13 @@ impl SystemBuilder {
             telemetry: None,
             faults: None,
             fault_seed: 1,
-            engine_threads: 1,
         }
     }
 
-    /// Shards the DRAM engine (device + controller) across this many
-    /// worker lanes (default 1 = serial). Output is byte-identical at any
-    /// value — the lane merge is deterministic — so this is a wall-clock
-    /// knob only and deliberately not part of any wire-visible spec.
-    pub fn engine_threads(mut self, threads: usize) -> Self {
-        self.engine_threads = threads.max(1);
+    // `benchmark/` (frozen for this PR) still calls this name; it goes when
+    // a later benchmark PR drops the `ctrl.pool.speedup_t2` probe.
+    #[doc(hidden)]
+    pub fn engine_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -174,11 +173,11 @@ impl SystemBuilder {
         // The L2 sector is the DRAM atom (Section 2.2 / Table 1).
         gpu_cfg.l2.sector_bytes = self.dram.atom_bytes;
         self.dram.validate()?;
-        let mut dev = DramDevice::with_lanes(self.dram.clone(), self.engine_threads);
+        let mut dev = DramDevice::new(self.dram.clone());
         if self.trace {
             dev.enable_trace();
         }
-        let mut ctrl = Controller::with_threads(&self.dram, self.ctrl, self.engine_threads)?;
+        let mut ctrl = Controller::new(&self.dram, self.ctrl)?;
         let mut faults = None;
         let mut watchdog_ns = DEFAULT_WATCHDOG_NS;
         if let Some(spec) = &self.faults {
@@ -224,7 +223,7 @@ impl SystemBuilder {
         }
         let n_warps = gpu_cfg.sms * gpu_cfg.warps_per_sm;
         let gpu = Gpu::new(gpu_cfg.clone(), workload.streams(n_warps));
-        let l2 = L2Cache::new(gpu_cfg.l2, 16_384);
+        let l2 = L2Cache::new(gpu_cfg.l2, L2_MSHRS);
         let mut profile = EnergyProfile::for_kind(self.dram.kind);
         if self.io_tech == IoTechnology::Grs {
             profile = profile.with_grs();
@@ -244,10 +243,10 @@ impl SystemBuilder {
             l2,
             events: EventWheel::new(),
             // Pre-size every steady-state container to its backpressure
-            // bound so the step loop never grows them: `fill_dest` tracks
-            // outstanding misses (bounded by the MSHR count), the retry
-            // queues are capped by MAX_RETRY / MAX_L2_BLOCKED.
-            fill_dest: FxHashMap::with_capacity_and_hasher(16_384, Default::default()),
+            // bound so the step loop never grows them: `fills` tracks
+            // outstanding misses (one per L2 MSHR), the retry queues are
+            // capped by MAX_RETRY / MAX_L2_BLOCKED.
+            fills: FlatMap::with_bound(L2_MSHRS),
             retry_reqs: VecDeque::with_capacity(MAX_RETRY),
             l2_blocked: VecDeque::with_capacity(MAX_L2_BLOCKED),
             access_buf: Vec::with_capacity(256),
@@ -262,7 +261,6 @@ impl SystemBuilder {
             last_issue: 0,
             telemetry: None,
             faults,
-            retry_attempts: FxHashMap::with_capacity_and_hasher(64, Default::default()),
             watchdog_ns,
             progress_sig: 0,
             progress_at: 0,
@@ -318,7 +316,10 @@ pub struct System {
     gpu: Gpu,
     l2: L2Cache,
     events: EventWheel<Event>,
-    fill_dest: FxHashMap<u64, PhysAddr>,
+    /// In-flight fills by request id — `(sector address, corrected-error
+    /// re-reads so far)` — entered on an L2 miss, removed when the fill
+    /// event reaches the L2. (A plain tuple: see [`FlatMap::with_bound`].)
+    fills: FlatMap<(u64, u32)>,
     retry_reqs: VecDeque<MemRequest>,
     l2_blocked: VecDeque<SectorAccess>,
     access_buf: Vec<SectorAccess>,
@@ -335,8 +336,6 @@ pub struct System {
     /// Fault engine; `None` when no (effective) fault spec was given, so a
     /// fault-free run does not even consult the fault path.
     faults: Option<FaultEngine>,
-    /// Outstanding corrected-error retry counts per request id.
-    retry_attempts: FxHashMap<u64, u32>,
     /// Forward-progress watchdog bound.
     watchdog_ns: Ns,
     /// Last observed work signature and when it last changed.
@@ -492,11 +491,11 @@ impl System {
         while let Some((_, ev)) = self.events.pop_due(now) {
             match ev {
                 Event::Fill(req) => {
-                    if let Some(sector) = self.fill_dest.remove(&req.0) {
+                    if let Some((sector, _)) = self.fills.remove(req.0) {
                         let xbar = self.gpu_cfg.xbar_latency;
                         let core = self.gpu_cfg.core_latency;
                         let mut waiters = std::mem::take(&mut self.waiter_buf);
-                        self.l2.fill_done_into(sector, &mut waiters);
+                        self.l2.fill_done_into(PhysAddr(sector), &mut waiters);
                         for &token in &waiters {
                             self.schedule(now + xbar + core, Event::Wake(token));
                         }
@@ -509,8 +508,12 @@ impl System {
                 Event::Retry(req_id) => {
                     // Re-read after a corrected error: back through the
                     // controller (and the fault oracle) like any miss fill.
-                    if let Some(&addr) = self.fill_dest.get(&req_id) {
-                        let req = MemRequest { id: ReqId(req_id), addr, is_write: false };
+                    if let Some((sector, _)) = self.fills.get(req_id) {
+                        let req = MemRequest {
+                            id: ReqId(req_id),
+                            addr: PhysAddr(sector),
+                            is_write: false,
+                        };
                         if !self.ctrl.try_enqueue(req, now) {
                             self.retry_reqs.push_back(req);
                         }
@@ -651,30 +654,26 @@ impl System {
         fill_at: Ns,
         now: Ns,
     ) -> Result<(), SimError> {
-        // A completion without a fill destination is a writeback that
-        // never consults the L2; only misses register one.
-        let Some(&addr) = self.fill_dest.get(&req.0) else {
+        // A completion without a fill entry is a writeback that never
+        // consults the L2; only misses register one.
+        let Some((sector, retries)) = self.fills.get_mut(req.0) else {
             self.schedule(fill_at, Event::Fill(req));
             return Ok(());
         };
-        let loc = self.ctrl.route(addr);
+        let loc = self.ctrl.route(PhysAddr(*sector));
         let engine = self.faults.as_mut().expect("caller checked engine presence");
         match engine.classify_read(loc.channel, loc.bank) {
-            EccOutcome::Clean => {
-                self.retry_attempts.remove(&req.0);
-                self.schedule(fill_at, Event::Fill(req));
-            }
+            EccOutcome::Clean => self.schedule(fill_at, Event::Fill(req)),
             EccOutcome::Corrected => {
                 // Bounded retry with exponential backoff; once exhausted
-                // the corrected data is delivered as-is.
-                let attempts = self.retry_attempts.entry(req.0).or_insert(0);
-                if *attempts < engine.retry_limit() {
-                    *attempts += 1;
-                    let delay = engine.backoff(*attempts);
+                // the corrected data is delivered as-is. (The count dies
+                // with the entry when the fill event lands.)
+                if *retries < engine.retry_limit() {
+                    *retries += 1;
+                    let delay = engine.backoff(*retries);
                     engine.note_retry();
                     self.schedule(fill_at + delay, Event::Retry(req.0));
                 } else {
-                    self.retry_attempts.remove(&req.0);
                     self.schedule(fill_at, Event::Fill(req));
                 }
             }
@@ -696,7 +695,6 @@ impl System {
                     // Poisoned data still unblocks the warp; the poison
                     // count records the damage.
                     self.gpu.note_poisoned();
-                    self.retry_attempts.remove(&req.0);
                     self.schedule(fill_at, Event::Fill(req));
                 }
             },
@@ -714,8 +712,6 @@ impl System {
             .wrapping_add(g.sectors)
             .wrapping_add(g.loads_issued)
             .wrapping_add(g.stores_issued)
-            // Accepted requests + refreshes, O(lanes) — a full stats merge
-            // here would put a per-channel walk on every simulation step.
             .wrapping_add(self.ctrl.progress_probe())
             .wrapping_add(k.activates)
             .wrapping_add(k.read_atoms)
@@ -724,7 +720,7 @@ impl System {
 
     /// True when anything is still outstanding anywhere in the pipeline —
     /// the precondition for the watchdog to call silence a stall. All the
-    /// checks are O(1): every outstanding load has either a `fill_dest`
+    /// checks are O(1): every outstanding load has either a `fills`
     /// entry (miss in flight) or a scheduled event, so the GPU needs no
     /// per-warp scan.
     fn has_pending_work(&self) -> bool {
@@ -732,7 +728,7 @@ impl System {
             || !self.retry_reqs.is_empty()
             || !self.l2_blocked.is_empty()
             || !self.events.is_empty()
-            || !self.fill_dest.is_empty()
+            || !self.fills.is_empty()
     }
 
     /// Routes one sector access through the L2; `false` means blocked
@@ -748,7 +744,7 @@ impl System {
             L2Access::Miss { fill } => {
                 self.next_req += 1;
                 let req = MemRequest { id: ReqId(self.next_req), addr: fill, is_write: false };
-                self.fill_dest.insert(self.next_req, fill);
+                self.fills.insert(self.next_req, (fill.0, 0));
                 if !self.ctrl.try_enqueue(req, now) {
                     self.retry_reqs.push_back(req);
                 }

@@ -15,7 +15,6 @@
 
 mod arena;
 mod controller;
-mod pool;
 mod scheduler;
 pub mod stats;
 mod telemetry;

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use fgdram_dram::{LaneDevice, ProtocolError, Rule};
+use fgdram_dram::{DramDevice, ProtocolError, Rule};
 use fgdram_model::addr::{Location, MemRequest};
 use fgdram_model::cmd::{BankRef, Completion, DramCommand};
 use fgdram_model::config::{CtrlConfig, PagePolicy};
@@ -142,10 +142,14 @@ impl ChannelSched {
             arena,
             read_q,
             write_q,
-            // Hard bound: `can_accept` admits past a non-empty overflow
-            // while *direct* room exists, so overflow can transiently
-            // hold xbar + both direct depths. The capacity is virtual
-            // until touched (no pre-fill), so over-sizing is free.
+            // `can_accept` admits past a non-empty overflow while
+            // *direct* room exists, so overflow usually peaks around xbar
+            // + both direct depths. That is not a hard bound: behind a
+            // head-of-line write that cannot drain, reads keep being
+            // admitted (they never reach `reads`), and the deque can
+            // double — seen once per ~800 simulated us on GUPS/QB-HBM.
+            // The capacity is virtual until touched (no pre-fill), so
+            // over-sizing is free.
             overflow: VecDeque::with_capacity(
                 cfg.xbar_queue_depth + cfg.read_queue_depth + cfg.write_buffer_depth,
             ),
@@ -312,7 +316,7 @@ impl ChannelSched {
     /// leaving `next_try` at the channel's next wake time.
     pub fn pass(
         &mut self,
-        dev: &mut LaneDevice<'_>,
+        dev: &mut DramDevice,
         now: Ns,
         stats: &mut CtrlStats,
         out: &mut Vec<Completion>,
@@ -334,7 +338,7 @@ impl ChannelSched {
     /// One scheduling attempt at `now`.
     pub fn step(
         &mut self,
-        dev: &mut LaneDevice<'_>,
+        dev: &mut DramDevice,
         now: Ns,
         stats: &mut CtrlStats,
     ) -> Result<Step, ProtocolError> {
@@ -382,7 +386,7 @@ impl ChannelSched {
     /// list per bank per call.
     fn step_refresh(
         &mut self,
-        dev: &mut LaneDevice<'_>,
+        dev: &mut DramDevice,
         now: Ns,
         stats: &mut CtrlStats,
         mut wake: Ns,
@@ -451,7 +455,7 @@ impl ChannelSched {
     /// same-group accesses at tCCDL.
     fn try_column(
         &mut self,
-        dev: &mut LaneDevice<'_>,
+        dev: &mut DramDevice,
         now: Ns,
         use_writes: bool,
         stats: &mut CtrlStats,
@@ -575,7 +579,7 @@ impl ChannelSched {
     /// front-of-queue request per bank.
     fn try_activate(
         &mut self,
-        dev: &mut LaneDevice<'_>,
+        dev: &mut DramDevice,
         now: Ns,
         use_writes: bool,
         stats: &mut CtrlStats,
@@ -657,7 +661,7 @@ impl ChannelSched {
     /// conflict can make progress — clamped past `now`.
     fn conflict_fence(
         &self,
-        dev: &LaneDevice<'_>,
+        dev: &DramDevice,
         bank: u32,
         row: u32,
         slice: u32,
@@ -675,7 +679,7 @@ impl ChannelSched {
     #[allow(clippy::too_many_arguments)]
     fn resolve_act_block(
         &mut self,
-        dev: &mut LaneDevice<'_>,
+        dev: &mut DramDevice,
         now: Ns,
         bank: u32,
         p: &Pending,
@@ -766,7 +770,7 @@ impl ChannelSched {
     #[allow(clippy::too_many_arguments)]
     fn try_precharge(
         &mut self,
-        dev: &mut LaneDevice<'_>,
+        dev: &mut DramDevice,
         now: Ns,
         bank: BankRef,
         row: u32,
@@ -791,7 +795,7 @@ impl ChannelSched {
     /// the configured timeout. Returns the (possibly earlier) wake time.
     fn maybe_idle_close(
         &mut self,
-        dev: &mut LaneDevice<'_>,
+        dev: &mut DramDevice,
         now: Ns,
         stats: &mut CtrlStats,
         wake: Ns,

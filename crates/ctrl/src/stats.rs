@@ -46,26 +46,6 @@ impl CtrlStats {
         self.read_latency.record(done.saturating_sub(enqueued));
     }
 
-    /// Merges `other` into `self` (counter addition, histogram bucket
-    /// addition). Integer-exact and commutative, so merging per-lane
-    /// statistics in any order yields the same totals as serial
-    /// accumulation would have.
-    pub fn merge(&mut self, other: &CtrlStats) {
-        self.reads_accepted.add(other.reads_accepted.get());
-        self.writes_accepted.add(other.writes_accepted.get());
-        self.rejected.add(other.rejected.get());
-        self.row_hits.add(other.row_hits.get());
-        self.activates.add(other.activates.get());
-        self.conflict_precharges.add(other.conflict_precharges.get());
-        self.timeout_precharges.add(other.timeout_precharges.get());
-        self.refresh_precharges.add(other.refresh_precharges.get());
-        self.auto_precharges.add(other.auto_precharges.get());
-        self.refreshes.add(other.refreshes.get());
-        self.drain_entries.add(other.drain_entries.get());
-        self.read_latency.merge(&other.read_latency);
-        self.queue_depth.merge(&other.queue_depth);
-    }
-
     /// Row-buffer hit rate over all issued columns.
     pub fn hit_rate(&self) -> f64 {
         let cols = self.row_hits.get() + self.activates.get();

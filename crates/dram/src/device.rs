@@ -5,13 +5,6 @@
 //! writes on the column bus, and — for FGDRAM — eight grains share one
 //! command channel, with activates occupying the row bus for 4 ns (the
 //! long row address) and column commands 2 ns.
-//!
-//! The device is internally sharded into [`DevLane`]s — contiguous channel
-//! slices aligned to command-channel boundaries (see
-//! `DramConfig::lane_plan`) — so the threaded engine can hand each worker
-//! exclusive ownership of one lane's complete timing state with no shared
-//! mutation at all. With one lane (the default) the layout is the PR 9
-//! flat device, one indirection removed.
 
 use fgdram_model::cmd::{Completion, DramCommand, TimedCommand};
 use fgdram_model::config::DramConfig;
@@ -28,96 +21,106 @@ struct CmdBus {
     col_busy_until: Ns,
 }
 
-/// One engine lane: a contiguous slice of channels with its *own complete*
-/// timing state — slot/bank/channel records, command buses, counters.
-/// Because lanes align to command-channel boundaries, no DRAM rule ever
-/// couples two lanes, so a worker thread that owns a `DevLane` (by value)
-/// can tick it with no synchronisation and bit-identical results to the
-/// serial engine.
+/// A full DRAM stack device model.
 ///
-/// All channel arguments are **global** channel ids; the lane translates
-/// to its local state internally.
+/// # Examples
+///
+/// ```
+/// use fgdram_dram::DramDevice;
+/// use fgdram_model::cmd::{BankRef, DramCommand};
+/// use fgdram_model::config::{DramConfig, DramKind};
+/// use fgdram_model::addr::ReqId;
+///
+/// let mut dev = DramDevice::new(DramConfig::new(DramKind::Fgdram));
+/// let bank = BankRef { channel: 0, bank: 0 };
+/// let act = DramCommand::Activate { bank, row: 42, slice: 0 };
+/// let at = dev.earliest(&act, 0)?;
+/// dev.issue(act, at)?;
+/// let rd = DramCommand::Read { bank, row: 42, col: 0, auto_precharge: false, req: ReqId(1) };
+/// let at = dev.earliest(&rd, at)?;
+/// let done = dev.issue(rd, at)?.expect("reads complete");
+/// assert!(done.at > at);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 #[derive(Debug)]
-pub struct DevLane {
+pub struct DramDevice {
     cfg: DramConfig,
-    base_ch: u32,
-    width: u32,
     state: DeviceState,
     cmd_buses: Vec<CmdBus>,
-    /// Running aggregate of this lane's counters, maintained incrementally
-    /// on [`Self::issue`] so the device's `total_counters` (on the
-    /// per-step progress-watchdog path) is O(lanes), not O(channels).
+    /// Running aggregate of every channel's counters, maintained
+    /// incrementally on [`Self::issue`]: `total_counters` sits on the
+    /// per-step progress-watchdog path, where re-summing 512 grains per
+    /// step dominated wall time.
     totals: ChannelCounters,
+    trace: Option<Vec<TimedCommand>>,
 }
 
-impl DevLane {
-    fn new(cfg: DramConfig, base_ch: u32, width: u32) -> Self {
-        debug_assert_eq!(base_ch as usize % cfg.channels_per_cmd_channel, 0);
-        debug_assert_eq!(width as usize % cfg.channels_per_cmd_channel, 0);
-        DevLane {
-            state: DeviceState::with_channels(&cfg, width),
-            cmd_buses: vec![
-                CmdBus::default();
-                (width as usize / cfg.channels_per_cmd_channel).max(1)
-            ],
+impl DramDevice {
+    /// Builds an idle device for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`DramConfig::validate`]; construct configs
+    /// through [`DramConfig::new`] or validate custom ones first.
+    pub fn new(cfg: DramConfig) -> Self {
+        cfg.validate().expect("invalid DramConfig");
+        DramDevice {
+            state: DeviceState::new(&cfg),
+            cmd_buses: vec![CmdBus::default(); cfg.cmd_channels().max(1)],
             totals: ChannelCounters::default(),
-            base_ch,
-            width,
+            trace: None,
             cfg,
         }
     }
 
-    /// First global channel id of this lane.
-    pub fn base_channel(&self) -> u32 {
-        self.base_ch
+    // `benchmark/` (frozen for this PR) still calls this name; it goes when
+    // a later benchmark PR drops the `ctrl.pool.speedup_t2` probe.
+    #[doc(hidden)]
+    pub fn with_lanes(cfg: DramConfig, _engine_threads: usize) -> Self {
+        Self::new(cfg)
     }
 
-    /// Number of channels in this lane.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// The device configuration (each lane carries its own copy so a lane
-    /// shipped to a worker thread is self-contained).
+    /// The device configuration.
     pub fn config(&self) -> &DramConfig {
         &self.cfg
     }
 
-    /// Lane-local index of global channel `ch`.
-    #[inline]
-    fn local(&self, ch: u32) -> u32 {
-        debug_assert!(
-            ch >= self.base_ch && ch < self.base_ch + self.width,
-            "channel {ch} outside lane [{}, {})",
-            self.base_ch,
-            self.base_ch + self.width
-        );
-        ch - self.base_ch
-    }
-
-    /// Read access to one channel/grain of this lane (global id).
+    /// Read access to one channel/grain (a copyable view over the timing
+    /// state).
     pub fn channel(&self, ch: u32) -> Channel<'_> {
-        Channel::new(&self.state, self.local(ch))
+        Channel::new(&self.state, ch)
     }
 
-    /// This lane's running counter totals.
-    pub fn totals(&self) -> ChannelCounters {
+    /// Begins recording every accepted command (for the protocol checker).
+    pub fn enable_trace(&mut self) {
+        self.trace = Some(Vec::new());
+    }
+
+    /// Takes the recorded trace, leaving recording enabled.
+    pub fn take_trace(&mut self) -> Vec<TimedCommand> {
+        match &mut self.trace {
+            Some(t) => std::mem::take(t),
+            None => Vec::new(),
+        }
+    }
+
+    /// Aggregated operation counters across all channels (O(1): see the
+    /// `totals` field).
+    pub fn total_counters(&self) -> ChannelCounters {
         self.totals
     }
 
-    /// Per-channel counters (global id).
+    /// Per-channel counters.
     pub fn channel_counters(&self, ch: u32) -> &ChannelCounters {
-        self.state.counters(self.local(ch))
+        self.state.counters(ch)
     }
 
-    /// The lane's per-bank activate heatmap slice, channel-major within
-    /// the lane (concatenating lanes in base order rebuilds the device
-    /// heatmap).
-    pub fn bank_activates_flat(&self) -> &[u64] {
-        self.state.bank_activates_flat()
+    /// The device-wide per-bank activate heatmap, channel-major.
+    pub fn bank_activates_heatmap(&self) -> Vec<u64> {
+        self.state.bank_activates_flat().to_vec()
     }
 
-    /// Zeroes the lane's operation counters.
+    /// Zeroes every channel's operation counters (end-of-warmup).
     pub fn reset_counters(&mut self) {
         self.state.reset_counters();
         self.totals = ChannelCounters::default();
@@ -125,7 +128,7 @@ impl DevLane {
 
     #[inline]
     fn cmd_bus_index(&self, channel: u32) -> usize {
-        self.local(channel) as usize / self.cfg.channels_per_cmd_channel
+        channel as usize / self.cfg.channels_per_cmd_channel
     }
 
     fn cmd_slot(&self, cmd: &DramCommand, at: Ns) -> Ns {
@@ -153,30 +156,20 @@ impl DevLane {
     }
 
     fn check_ranges(&self, cmd: &DramCommand) -> Result<(), Reject> {
-        let in_lane = |ch: u32| {
-            (ch as usize) < self.cfg.channels
-                && ch >= self.base_ch
-                && ch < self.base_ch + self.width
-        };
-        let ok = match cmd {
-            DramCommand::Activate { bank, row, slice } => {
-                in_lane(bank.channel)
-                    && (bank.bank as usize) < self.cfg.banks_per_channel
-                    && (*row as usize) < self.cfg.rows_per_bank
-                    && (*slice as u64) < self.cfg.slices_per_row()
-            }
-            DramCommand::Read { bank, row, col, .. }
-            | DramCommand::Write { bank, row, col, .. } => {
-                in_lane(bank.channel)
-                    && (bank.bank as usize) < self.cfg.banks_per_channel
-                    && (*row as usize) < self.cfg.rows_per_bank
-                    && (*col as u64) < self.cfg.atoms_per_row()
-            }
-            DramCommand::Precharge { bank, .. } => {
-                in_lane(bank.channel) && (bank.bank as usize) < self.cfg.banks_per_channel
-            }
-            DramCommand::Refresh { channel } => in_lane(*channel),
-        };
+        let bank_ok = |bank: u32| (bank as usize) < self.cfg.banks_per_channel;
+        let row_ok = |row: u32| (row as usize) < self.cfg.rows_per_bank;
+        let ok = (cmd.channel() as usize) < self.cfg.channels
+            && match *cmd {
+                DramCommand::Activate { bank, row, slice } => {
+                    bank_ok(bank.bank) && row_ok(row) && (slice as u64) < self.cfg.slices_per_row()
+                }
+                DramCommand::Read { bank, row, col, .. }
+                | DramCommand::Write { bank, row, col, .. } => {
+                    bank_ok(bank.bank) && row_ok(row) && (col as u64) < self.cfg.atoms_per_row()
+                }
+                DramCommand::Precharge { bank, .. } => bank_ok(bank.bank),
+                DramCommand::Refresh { .. } => true,
+            };
         if ok {
             Ok(())
         } else {
@@ -201,49 +194,30 @@ impl DevLane {
         let wrap = |r: Reject| ProtocolError { cmd: *cmd, at, rule: r.rule, earliest: r.earliest };
         self.check_ranges(cmd).map_err(wrap)?;
         let t = match *cmd {
-            DramCommand::Activate { bank, row, slice } => self
-                .state
-                .earliest_act(self.local(bank.channel), bank.bank, row, slice, at)
-                .map_err(wrap)?,
+            DramCommand::Activate { bank, row, slice } => {
+                self.state.earliest_act(bank.channel, bank.bank, row, slice, at).map_err(wrap)?
+            }
             DramCommand::Read { bank, row, col, .. } => self
                 .state
-                .earliest_col(
-                    self.local(bank.channel),
-                    bank.bank,
-                    row,
-                    self.slice_of(col),
-                    false,
-                    at,
-                )
+                .earliest_col(bank.channel, bank.bank, row, self.slice_of(col), false, at)
                 .map_err(wrap)?,
             DramCommand::Write { bank, row, col, .. } => self
                 .state
-                .earliest_col(
-                    self.local(bank.channel),
-                    bank.bank,
-                    row,
-                    self.slice_of(col),
-                    true,
-                    at,
-                )
+                .earliest_col(bank.channel, bank.bank, row, self.slice_of(col), true, at)
                 .map_err(wrap)?,
             DramCommand::Precharge { bank, row, slice } => match row {
-                Some(r) => self
-                    .state
-                    .earliest_pre(self.local(bank.channel), bank.bank, r, slice, at)
-                    .map_err(wrap)?,
-                None => {
-                    self.earliest_pre_all(self.local(bank.channel), bank.bank, at).map_err(wrap)?
+                Some(r) => {
+                    self.state.earliest_pre(bank.channel, bank.bank, r, slice, at).map_err(wrap)?
                 }
+                None => self.earliest_pre_all(bank.channel, bank.bank, at).map_err(wrap)?,
             },
             DramCommand::Refresh { channel } => {
-                self.state.earliest_refresh(self.local(channel), at).map_err(wrap)?
+                self.state.earliest_refresh(channel, at).map_err(wrap)?
             }
         };
         Ok(self.cmd_slot(cmd, t))
     }
 
-    /// `ch` is lane-local here (callers translate first).
     fn earliest_pre_all(&self, ch: u32, bank: u32, at: Ns) -> Result<Ns, Reject> {
         let mut any = false;
         let mut t = at;
@@ -257,18 +231,13 @@ impl DevLane {
         Ok(t)
     }
 
-    /// Issues `cmd` at `at`, appending it to `trace` when recording is on.
-    /// Returns the data completion for reads/writes.
+    /// Issues `cmd` at `at`, appending it to the trace when recording is
+    /// on. Returns the data completion for reads/writes.
     ///
     /// # Errors
     ///
-    /// Any protocol violation; the lane state is unchanged on error.
-    pub fn issue(
-        &mut self,
-        cmd: DramCommand,
-        at: Ns,
-        trace: Option<&mut Vec<TimedCommand>>,
-    ) -> Result<Option<Completion>, ProtocolError> {
+    /// Any protocol violation; the device state is unchanged on error.
+    pub fn issue(&mut self, cmd: DramCommand, at: Ns) -> Result<Option<Completion>, ProtocolError> {
         let wrap = |r: Reject| ProtocolError { cmd, at, rule: r.rule, earliest: r.earliest };
         self.check_ranges(&cmd).map_err(wrap)?;
         // Command-bus slot check first: it applies to every command kind.
@@ -279,42 +248,41 @@ impl DevLane {
         // A command touches exactly one channel; capture its counters so
         // the running totals can absorb the delta afterwards. (Failed
         // issues leave channel state — and thus the delta — untouched.)
-        let chx = self.local(cmd.channel());
+        let chx = cmd.channel();
         let before = *self.state.counters(chx);
         let completion = match cmd {
             DramCommand::Activate { bank, row, slice } => {
-                self.state
-                    .activate(self.local(bank.channel), bank.bank, row, slice, at)
-                    .map_err(wrap)?;
+                self.state.activate(bank.channel, bank.bank, row, slice, at).map_err(wrap)?;
                 None
             }
             DramCommand::Read { bank, row, col, auto_precharge, req } => {
                 let slice = self.slice_of(col);
-                let local = self.local(bank.channel);
-                let out =
-                    self.state.column(local, bank.bank, row, slice, false, at).map_err(wrap)?;
+                let out = self
+                    .state
+                    .column(bank.channel, bank.bank, row, slice, false, at)
+                    .map_err(wrap)?;
                 if auto_precharge {
-                    self.auto_precharge(local, bank.bank, row, slice);
+                    self.auto_precharge(bank.channel, bank.bank, row, slice);
                 }
                 Some(Completion { req, at: out.data_end, is_write: false })
             }
             DramCommand::Write { bank, row, col, auto_precharge, req } => {
                 let slice = self.slice_of(col);
-                let local = self.local(bank.channel);
-                let out =
-                    self.state.column(local, bank.bank, row, slice, true, at).map_err(wrap)?;
+                let out = self
+                    .state
+                    .column(bank.channel, bank.bank, row, slice, true, at)
+                    .map_err(wrap)?;
                 if auto_precharge {
-                    self.auto_precharge(local, bank.bank, row, slice);
+                    self.auto_precharge(bank.channel, bank.bank, row, slice);
                 }
                 Some(Completion { req, at: out.data_end, is_write: true })
             }
             DramCommand::Precharge { bank, row, slice } => {
-                self.issue_precharge(self.local(bank.channel), bank.bank, row, slice, at)
-                    .map_err(wrap)?;
+                self.issue_precharge(bank.channel, bank.bank, row, slice, at).map_err(wrap)?;
                 None
             }
             DramCommand::Refresh { channel } => {
-                self.state.refresh(self.local(channel), at).map_err(wrap)?;
+                self.state.refresh(channel, at).map_err(wrap)?;
                 None
             }
         };
@@ -325,13 +293,12 @@ impl DevLane {
         self.totals.refreshes += after.refreshes - before.refreshes;
         self.totals.precharges += after.precharges - before.precharges;
         self.occupy_cmd_slot(&cmd, at);
-        if let Some(t) = trace {
+        if let Some(t) = &mut self.trace {
             t.push(TimedCommand { at, cmd });
         }
         Ok(completion)
     }
 
-    /// `channel` is lane-local here.
     fn issue_precharge(
         &mut self,
         channel: u32,
@@ -365,258 +332,10 @@ impl DevLane {
 
     /// Internally schedules the precharge implied by auto-precharge: it
     /// occurs as soon as tRAS/tRTP/tWR allow, without a command-bus slot.
-    /// `channel` is lane-local here.
     fn auto_precharge(&mut self, channel: u32, bank: u32, row: u32, slice: u32) {
         if let Ok(at) = self.state.earliest_pre(channel, bank, row, slice, 0) {
             let _ = self.state.precharge(channel, bank, row, slice, at);
         }
-    }
-}
-
-/// A scheduler's handle on one lane: the lane plus the (shared, optional)
-/// trace sink. The threaded engine constructs one per lane per fence —
-/// workers get `trace: None` (parallel ticking is forced serial whenever
-/// tracing is on, so trace order stays chronological).
-#[derive(Debug)]
-pub struct LaneDevice<'a> {
-    lane: &'a mut DevLane,
-    trace: Option<&'a mut Vec<TimedCommand>>,
-}
-
-impl<'a> LaneDevice<'a> {
-    /// Wraps `lane` with an optional trace sink.
-    pub fn new(lane: &'a mut DevLane, trace: Option<&'a mut Vec<TimedCommand>>) -> Self {
-        LaneDevice { lane, trace }
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &DramConfig {
-        self.lane.config()
-    }
-
-    /// Read access to one channel/grain (global id; must be in-lane).
-    pub fn channel(&self, ch: u32) -> Channel<'_> {
-        self.lane.channel(ch)
-    }
-
-    /// See [`DevLane::earliest`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DevLane::earliest`].
-    pub fn earliest(&self, cmd: &DramCommand, at: Ns) -> Result<Ns, ProtocolError> {
-        self.lane.earliest(cmd, at)
-    }
-
-    /// See [`DevLane::issue`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DevLane::issue`].
-    pub fn issue(&mut self, cmd: DramCommand, at: Ns) -> Result<Option<Completion>, ProtocolError> {
-        self.lane.issue(cmd, at, self.trace.as_deref_mut())
-    }
-}
-
-/// A full DRAM stack device model.
-///
-/// # Examples
-///
-/// ```
-/// use fgdram_dram::DramDevice;
-/// use fgdram_model::cmd::{BankRef, DramCommand};
-/// use fgdram_model::config::{DramConfig, DramKind};
-/// use fgdram_model::addr::ReqId;
-///
-/// let mut dev = DramDevice::new(DramConfig::new(DramKind::Fgdram));
-/// let bank = BankRef { channel: 0, bank: 0 };
-/// let act = DramCommand::Activate { bank, row: 42, slice: 0 };
-/// let at = dev.earliest(&act, 0)?;
-/// dev.issue(act, at)?;
-/// let rd = DramCommand::Read { bank, row: 42, col: 0, auto_precharge: false, req: ReqId(1) };
-/// let at = dev.earliest(&rd, at)?;
-/// let done = dev.issue(rd, at)?.expect("reads complete");
-/// assert!(done.at > at);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct DramDevice {
-    cfg: DramConfig,
-    /// `starts[i]` is lane `i`'s first global channel (ascending).
-    starts: Vec<u32>,
-    /// `None` only while a lane is checked out to a worker thread via
-    /// [`Self::take_lane`]; every public accessor expects lanes home.
-    lanes: Vec<Option<Box<DevLane>>>,
-    trace: Option<Vec<TimedCommand>>,
-}
-
-impl DramDevice {
-    /// Builds an idle single-lane device for `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`DramConfig::validate`]; construct configs
-    /// through [`DramConfig::new`] or validate custom ones first.
-    pub fn new(cfg: DramConfig) -> Self {
-        Self::with_lanes(cfg, 1)
-    }
-
-    /// Builds an idle device sharded for `engine_threads` workers (see
-    /// `DramConfig::lane_plan`; the lane count is clamped, so any value
-    /// is safe and `1` reproduces the serial layout).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`DramConfig::validate`].
-    pub fn with_lanes(cfg: DramConfig, engine_threads: usize) -> Self {
-        cfg.validate().expect("invalid DramConfig");
-        let plan = cfg.lane_plan(engine_threads);
-        let mut starts = Vec::with_capacity(plan.len());
-        let mut lanes = Vec::with_capacity(plan.len());
-        for &(base, width) in &plan {
-            starts.push(base);
-            lanes.push(Some(Box::new(DevLane::new(cfg.clone(), base, width))));
-        }
-        DramDevice { cfg, starts, lanes, trace: None }
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
-    /// Number of engine lanes the device is sharded into.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Lane index owning global channel `ch` (clamped: out-of-range
-    /// channels map to the last lane, whose range check then rejects).
-    #[inline]
-    fn lane_index_of(&self, ch: u32) -> usize {
-        self.starts.partition_point(|&b| b <= ch).saturating_sub(1)
-    }
-
-    #[inline]
-    fn lane_for(&self, ch: u32) -> &DevLane {
-        self.lanes[self.lane_index_of(ch)].as_deref().expect("lane checked out")
-    }
-
-    /// Shared access to lane `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane is currently checked out to a worker.
-    pub fn lane(&self, i: usize) -> &DevLane {
-        self.lanes[i].as_deref().expect("lane checked out")
-    }
-
-    /// Removes lane `i` for a worker thread to own during a parallel tick.
-    /// The caller must [`Self::put_lane`] it back before any other device
-    /// method touches that lane's channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane is already checked out.
-    pub fn take_lane(&mut self, i: usize) -> Box<DevLane> {
-        self.lanes[i].take().expect("lane already checked out")
-    }
-
-    /// Returns a lane taken with [`Self::take_lane`].
-    pub fn put_lane(&mut self, i: usize, lane: Box<DevLane>) {
-        debug_assert!(self.lanes[i].is_none(), "lane slot occupied");
-        debug_assert_eq!(lane.base_channel(), self.starts[i]);
-        self.lanes[i] = Some(lane);
-    }
-
-    /// Split-borrow for the serial tick path: every lane slot plus the
-    /// trace sink, mutably, at once.
-    pub fn lane_parts(&mut self) -> (&mut [Option<Box<DevLane>>], Option<&mut Vec<TimedCommand>>) {
-        (&mut self.lanes, self.trace.as_mut())
-    }
-
-    /// Read access to one channel/grain (a copyable view over the owning
-    /// lane's timing state).
-    pub fn channel(&self, ch: u32) -> Channel<'_> {
-        self.lane_for(ch).channel(ch)
-    }
-
-    /// Begins recording every accepted command (for the protocol checker).
-    /// The engine forces serial ticking while tracing so the record stays
-    /// in global chronological-then-channel order.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Takes the recorded trace, leaving recording enabled.
-    pub fn take_trace(&mut self) -> Vec<TimedCommand> {
-        match &mut self.trace {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
-    }
-
-    /// Aggregated operation counters across all channels (O(lanes): each
-    /// lane maintains a running total on every issue — this sits on the
-    /// per-step progress-watchdog path, where re-summing 512 grains per
-    /// step dominated wall time).
-    pub fn total_counters(&self) -> ChannelCounters {
-        let mut total = ChannelCounters::default();
-        for lane in &self.lanes {
-            let k = lane.as_deref().expect("lane checked out").totals();
-            total.activates += k.activates;
-            total.read_atoms += k.read_atoms;
-            total.write_atoms += k.write_atoms;
-            total.refreshes += k.refreshes;
-            total.precharges += k.precharges;
-        }
-        total
-    }
-
-    /// Per-channel counters.
-    pub fn channel_counters(&self, ch: u32) -> &ChannelCounters {
-        self.lane_for(ch).channel_counters(ch)
-    }
-
-    /// The device-wide per-bank activate heatmap, channel-major
-    /// (lane slices concatenated in base-channel order).
-    pub fn bank_activates_heatmap(&self) -> Vec<u64> {
-        let mut flat = Vec::with_capacity(self.cfg.channels * self.cfg.banks_per_channel);
-        for lane in &self.lanes {
-            flat.extend_from_slice(
-                lane.as_deref().expect("lane checked out").bank_activates_flat(),
-            );
-        }
-        flat
-    }
-
-    /// Zeroes every channel's operation counters (end-of-warmup).
-    pub fn reset_counters(&mut self) {
-        for lane in &mut self.lanes {
-            lane.as_deref_mut().expect("lane checked out").reset_counters();
-        }
-    }
-
-    /// Earliest time `cmd` may issue at or after `at`, combining bank,
-    /// channel, and command-bus constraints.
-    ///
-    /// # Errors
-    ///
-    /// Structural [`ProtocolError`]s (wrong row open, subarray conflicts,
-    /// out-of-range targets) that no amount of waiting fixes.
-    pub fn earliest(&self, cmd: &DramCommand, at: Ns) -> Result<Ns, ProtocolError> {
-        self.lane_for(cmd.channel()).earliest(cmd, at)
-    }
-
-    /// Issues `cmd` at `at`. Returns the data completion for reads/writes.
-    ///
-    /// # Errors
-    ///
-    /// Any protocol violation; the device state is unchanged on error.
-    pub fn issue(&mut self, cmd: DramCommand, at: Ns) -> Result<Option<Completion>, ProtocolError> {
-        let i = self.lane_index_of(cmd.channel());
-        let lane = self.lanes[i].as_deref_mut().expect("lane checked out");
-        lane.issue(cmd, at, self.trace.as_mut())
     }
 }
 

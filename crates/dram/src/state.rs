@@ -216,20 +216,7 @@ impl DeviceState {
     /// Panics when the SALP subarray count exceeds 64 (the per-subarray
     /// open mask is one `u64` word per bank).
     pub fn new(cfg: &DramConfig) -> Self {
-        Self::with_channels(cfg, cfg.channels as u32)
-    }
-
-    /// All-idle state covering `channels` channels of `cfg`'s geometry —
-    /// the building block for the threaded engine's per-lane shards, where
-    /// each lane owns the state of a contiguous channel slice. Every rule
-    /// in this type is within-channel, so a lane-local state with
-    /// lane-local channel indices behaves identically to the same channels
-    /// inside a full-device state.
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::new`].
-    pub fn with_channels(cfg: &DramConfig, channels: u32) -> Self {
+        let channels = cfg.channels as u32;
         let banks = cfg.banks_per_channel as u32;
         let slices = cfg.slices_per_row() as u32;
         let subarrays = if cfg.salp { cfg.subarrays_per_bank as u32 } else { 1 };

@@ -30,8 +30,6 @@ impl Sampled for DramDevice {
         out.counter_array("act_per_channel", act_per_channel);
         // The per-bank activate heatmap, channel-major: index = channel *
         // banks_per_channel + bank (a grain's pseudobanks are adjacent).
-        // Each lane stores its slice flat in exactly this order, so the
-        // readout is one contiguous copy per lane, in base-channel order.
         out.counter_array("act_per_bank", self.bank_activates_heatmap());
         // busy_total is monotonic per channel, so the array delta is the
         // data-bus busy time inside the epoch.

@@ -9,7 +9,7 @@
 
 use fgdram_model::addr::PhysAddr;
 use fgdram_model::config::L2Config;
-use fgdram_model::fxhash::FxHashMap;
+use fgdram_model::flatmap::FlatMap;
 use fgdram_model::stats::Counter;
 
 /// Result of one sector access.
@@ -40,11 +40,6 @@ struct Line {
     sector_dirty: u8,
     pending_fills: u8,
     lru: u64,
-}
-
-#[derive(Debug, Default)]
-struct MshrEntry {
-    waiters: Vec<u64>,
 }
 
 /// L2 statistics.
@@ -103,15 +98,15 @@ pub struct L2Cache {
     sets: usize,
     ways: usize,
     lines: Vec<Line>,
-    /// Outstanding fills by sector address. Never iterated (lookup,
-    /// insert, and remove only), so the fast hasher cannot perturb any
-    /// observable order.
-    mshr: FxHashMap<u64, MshrEntry>,
-    mshr_capacity: usize,
-    /// Recycled waiter vectors: an MSHR's `waiters` buffer returns here
-    /// when the fill completes, so steady-state miss/fill churn allocates
-    /// nothing. Bounded by `mshr_capacity` (one buffer per live entry).
-    waiter_pool: Vec<Vec<u64>>,
+    /// Outstanding fills: sector address to its entry's index in
+    /// `waiters`. Sized for `waiters.len()` entries, so miss/fill churn
+    /// never reallocates it.
+    mshr: FlatMap<u32>,
+    /// One pre-sized waiter-token buffer per MSHR entry; a buffer keeps
+    /// its capacity across fills, so steady-state churn allocates nothing.
+    waiters: Vec<Vec<u64>>,
+    /// Indices of `waiters` not holding an outstanding fill.
+    free: Vec<u32>,
     lru_clock: u64,
     writebacks: Vec<PhysAddr>,
     stats: L2Stats,
@@ -127,12 +122,9 @@ impl L2Cache {
             sets,
             ways,
             lines: vec![Line::default(); sets * ways],
-            mshr: FxHashMap::with_capacity_and_hasher(mshr_capacity, Default::default()),
-            mshr_capacity,
-            // At most `mshr_capacity` entries are live at once, so one
-            // pre-sized buffer per slot means `fill_sector` never falls
-            // back to a fresh (allocating-on-first-push) Vec.
-            waiter_pool: (0..mshr_capacity).map(|_| Vec::with_capacity(16)).collect(),
+            mshr: FlatMap::with_bound(mshr_capacity),
+            waiters: (0..mshr_capacity).map(|_| Vec::with_capacity(16)).collect(),
+            free: (0..mshr_capacity as u32).collect(),
             lru_clock: 0,
             // Worst-case drain fan-out: one line eviction per access in a
             // step's issue budget, each spilling every dirty sector.
@@ -253,25 +245,20 @@ impl L2Cache {
     }
 
     fn fill_sector(&mut self, line_idx: usize, sector: PhysAddr, token: u64) -> L2Access {
-        match self.mshr.get_mut(&sector.0) {
-            Some(entry) => {
-                entry.waiters.push(token);
-                self.stats.merges.incr();
-                L2Access::Merged
-            }
-            None => {
-                if self.mshr.len() >= self.mshr_capacity {
-                    self.stats.blocked.incr();
-                    return L2Access::Blocked;
-                }
-                let mut waiters = self.waiter_pool.pop().unwrap_or_default();
-                waiters.push(token);
-                self.mshr.insert(sector.0, MshrEntry { waiters });
-                self.lines[line_idx].pending_fills += 1;
-                self.stats.misses.incr();
-                L2Access::Miss { fill: sector }
-            }
+        if let Some(entry) = self.mshr.get(sector.0) {
+            self.waiters[entry as usize].push(token);
+            self.stats.merges.incr();
+            return L2Access::Merged;
         }
+        let Some(entry) = self.free.pop() else {
+            self.stats.blocked.incr();
+            return L2Access::Blocked;
+        };
+        self.waiters[entry as usize].push(token);
+        self.mshr.insert(sector.0, entry);
+        self.lines[line_idx].pending_fills += 1;
+        self.stats.misses.incr();
+        L2Access::Miss { fill: sector }
     }
 
     fn pending_writebacks(&mut self, tag: u64, dirty: u8) {
@@ -311,7 +298,7 @@ impl L2Cache {
     pub fn fill_done_into(&mut self, sector: PhysAddr, out: &mut Vec<u64>) {
         out.clear();
         let sector = sector.sector_base(self.cfg.sector_bytes);
-        let Some(mut entry) = self.mshr.remove(&sector.0) else {
+        let Some(entry) = self.mshr.remove(sector.0) else {
             return;
         };
         let line_addr = self.line_addr(sector);
@@ -325,9 +312,9 @@ impl L2Cache {
             line.sector_valid |= bit;
             line.pending_fills = line.pending_fills.saturating_sub(1);
         }
-        out.extend_from_slice(&entry.waiters);
-        entry.waiters.clear();
-        self.waiter_pool.push(entry.waiters);
+        out.extend_from_slice(&self.waiters[entry as usize]);
+        self.waiters[entry as usize].clear();
+        self.free.push(entry);
     }
 }
 

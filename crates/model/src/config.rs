@@ -395,30 +395,6 @@ impl DramConfig {
         self.channels_per_cmd_channel > 1 || matches!(self.kind, DramKind::Fgdram)
     }
 
-    /// Deterministic partition of the channel space into contiguous lanes
-    /// for the threaded engine: returns `(base_channel, channel_count)`
-    /// per lane. Lanes align to command-channel boundaries so no two lanes
-    /// ever share a row/column command bus — the property that makes
-    /// per-lane device state fully independent. The plan is a pure
-    /// function of the geometry and `engine_threads` (clamped to
-    /// `[1, min(cmd_channels, MAX_ENGINE_LANES)]`), so the controller and
-    /// the device always derive the same partition.
-    pub fn lane_plan(&self, engine_threads: usize) -> Vec<(u32, u32)> {
-        let cmd_channels = self.cmd_channels().max(1);
-        let lanes = engine_threads.clamp(1, cmd_channels.min(MAX_ENGINE_LANES));
-        let cpc = self.channels_per_cmd_channel as u32;
-        let per = cmd_channels / lanes;
-        let extra = cmd_channels % lanes;
-        let mut plan = Vec::with_capacity(lanes);
-        let mut base_cc = 0u32;
-        for i in 0..lanes {
-            let n = (per + usize::from(i < extra)) as u32;
-            plan.push((base_cc * cpc, n * cpc));
-            base_cc += n;
-        }
-        plan
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -702,11 +678,6 @@ impl CtrlConfig {
 /// Capacity helper: the default 4-die stack is 4 GiB for every architecture.
 pub const STACK_CAPACITY_BYTES: u64 = 4 * GIB;
 
-/// Upper bound on engine lanes (worker shards) regardless of the
-/// requested thread count: beyond this the per-fence merge overhead
-/// outgrows any per-lane win on realistic hosts.
-pub const MAX_ENGINE_LANES: usize = 16;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,32 +819,6 @@ mod tests {
         let qb = DramConfig::new(DramKind::QbHbm);
         assert_eq!(qb.slices_per_row(), 1);
         assert_eq!(qb.atoms_per_activation(), 32);
-    }
-
-    #[test]
-    fn lane_plan_is_contiguous_and_bus_aligned() {
-        for kind in DramKind::ALL {
-            let c = DramConfig::new(kind);
-            for threads in [0usize, 1, 2, 3, 8, 16, 64, 1000] {
-                let plan = c.lane_plan(threads);
-                assert!(!plan.is_empty());
-                assert!(plan.len() <= MAX_ENGINE_LANES);
-                assert!(plan.len() <= c.cmd_channels());
-                let mut next = 0u32;
-                for &(base, width) in &plan {
-                    assert_eq!(base, next, "{kind} t={threads}: lanes must be contiguous");
-                    assert!(width > 0);
-                    // Bus alignment: no lane splits a command channel.
-                    let cpc = c.channels_per_cmd_channel as u32;
-                    assert_eq!(base % cpc, 0, "{kind}: lane base off a cmd-channel boundary");
-                    assert_eq!(width % cpc, 0, "{kind}: lane width splits a cmd channel");
-                    next += width;
-                }
-                assert_eq!(next as usize, c.channels, "{kind}: plan must cover every channel");
-            }
-            // threads=1 is the serial engine: one lane over everything.
-            assert_eq!(c.lane_plan(1), vec![(0, c.channels as u32)]);
-        }
     }
 
     #[test]

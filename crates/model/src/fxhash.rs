@@ -10,6 +10,10 @@
 //! Iteration order over these maps differs from SipHash's — which is why
 //! the engine never iterates them (lookup/insert/remove only); the
 //! byte-identity suite in `tests/golden_identity.rs` pins that property.
+//!
+//! The engine's own churn-heavy maps have since moved to
+//! [`crate::flatmap::FlatMap`]; what still imports this module is the
+//! `benchmark/` shadow engine.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

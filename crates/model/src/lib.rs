@@ -33,6 +33,7 @@
 pub mod addr;
 pub mod cmd;
 pub mod config;
+pub mod flatmap;
 pub mod fxhash;
 pub mod rng;
 pub mod stats;

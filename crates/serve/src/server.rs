@@ -56,10 +56,6 @@ use crate::spool::{Artifact, CkptWriter, Spool, SpoolStatus};
 pub struct ServeConfig {
     /// Worker threads (`0` = one per available core).
     pub workers: usize,
-    /// Engine lanes inside each simulation cell (>= 1). Output is
-    /// byte-identical at any value, so this is a deployment knob and
-    /// not part of the wire-visible job spec.
-    pub engine_threads: usize,
     /// Bound on cells queued across all tenants (backpressure limit).
     pub max_queued_cells: usize,
     /// Per-tenant cap on jobs in flight (queued or running).
@@ -91,7 +87,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 0,
-            engine_threads: 1,
             max_queued_cells: 4096,
             tenant_max_inflight: 4,
             max_job_cost: 2_000_000_000,
@@ -508,7 +503,7 @@ fn worker_main(shared: &Shared) {
             }
         };
         // The expensive part runs outside the lock.
-        let result = run_one(&spec, &workload, kind, shared.cfg.engine_threads);
+        let result = run_one(&spec, &workload, kind);
         let mut g = shared.m.lock().expect("state lock");
         deliver(&mut g, &job_id, index, result);
         drop(g);
@@ -516,13 +511,8 @@ fn worker_main(shared: &Shared) {
     }
 }
 
-fn run_one(
-    spec: &SuiteSpec,
-    w: &Workload,
-    kind: DramKind,
-    engine_threads: usize,
-) -> Result<Artifact, SimError> {
-    let cell = spec.run_cell_threaded(w, kind, engine_threads.max(1))?;
+fn run_one(spec: &SuiteSpec, w: &Workload, kind: DramKind) -> Result<Artifact, SimError> {
+    let cell = spec.run_cell(w, kind)?;
     let jsonl = cell.telemetry.as_ref().map(|t| SuiteSpec::telemetry_jsonl(w, kind, t));
     Ok(Artifact { report: cell.report, jsonl })
 }

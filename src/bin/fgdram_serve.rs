@@ -7,7 +7,6 @@
 //!
 //! ```text
 //! fgdram-serve [--addr IP] [--port N] [--spool DIR] [--workers N]
-//!              [--engine-threads N]
 //!              [--max-queued-cells N] [--max-job-cost NS]
 //!              [--tenant-inflight N] [--quantum NS]
 //!              [--read-timeout-ms N] [--write-timeout-ms N]
@@ -32,7 +31,6 @@ use std::time::Duration;
 use fgdram_serve::{ChaosSpec, ServeConfig, Server};
 
 const USAGE: &str = "usage: fgdram-serve [--addr IP] [--port N] [--spool DIR] [--workers N] \
-                     [--engine-threads N] \
                      [--max-queued-cells N] [--max-job-cost NS] [--tenant-inflight N] \
                      [--quantum NS] [--read-timeout-ms N] [--write-timeout-ms N] \
                      [--shed-cost NS] [--chaos SPEC] [--chaos-seed N]";
@@ -55,12 +53,6 @@ fn parse_args(args: &[String]) -> Result<(String, ServeConfig), String> {
             "--port" => port = num("--port")? as u16,
             "--spool" => cfg.spool_dir = PathBuf::from(value),
             "--workers" => cfg.workers = num("--workers")? as usize,
-            "--engine-threads" => {
-                cfg.engine_threads = num("--engine-threads")? as usize;
-                if cfg.engine_threads == 0 {
-                    return Err(format!("--engine-threads must be >= 1\n{USAGE}"));
-                }
-            }
             "--max-queued-cells" => cfg.max_queued_cells = num("--max-queued-cells")? as usize,
             "--max-job-cost" => cfg.max_job_cost = num("--max-job-cost")?,
             "--tenant-inflight" => cfg.tenant_max_inflight = num("--tenant-inflight")? as usize,

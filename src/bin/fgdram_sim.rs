@@ -11,9 +11,6 @@
 //!        --grs  --closed-page  --trace-check  --wave <n>  --mlp <n>
 //!        --jobs <n>   worker threads for `suite` (default: all cores;
 //!                     results are identical at any job count)
-//!        --engine-threads <n>  worker lanes inside each simulation's DRAM
-//!                     engine (default 1; results are identical at any
-//!                     value; composes with --jobs)
 //!        --max-workloads <n>  cap the suite's workload list (CI scale)
 //!        --telemetry <path>   epoch-sampled time series (JSONL, or CSV
 //!                             when the path ends in `.csv`)
@@ -69,8 +66,6 @@ struct Flags {
     mlp: Option<usize>,
     /// Worker threads for matrix-shaped commands; 0 = available cores.
     jobs: usize,
-    /// Worker lanes inside each simulation's DRAM engine (>= 1).
-    engine_threads: usize,
     /// Cap on the suite's workload list (`suite` only).
     max_workloads: Option<usize>,
     /// Telemetry output path; format by extension (`.csv` = CSV, else JSONL).
@@ -97,7 +92,6 @@ impl Default for Flags {
             wave: None,
             mlp: None,
             jobs: 0,
-            engine_threads: 1,
             max_workloads: None,
             telemetry: None,
             epoch: 1_000,
@@ -131,14 +125,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--wave" => f.wave = Some(next("--wave")?.parse().map_err(|e| format!("{e}"))?),
             "--mlp" => f.mlp = Some(next("--mlp")?.parse().map_err(|e| format!("{e}"))?),
             "--jobs" => f.jobs = next("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?,
-            "--engine-threads" => {
-                f.engine_threads = next("--engine-threads")?
-                    .parse()
-                    .map_err(|e| format!("--engine-threads: {e}"))?;
-                if f.engine_threads == 0 {
-                    return Err("--engine-threads must be >= 1".to_string());
-                }
-            }
             "--max-workloads" => {
                 f.max_workloads = Some(
                     next("--max-workloads")?
@@ -180,7 +166,6 @@ const FLAG_NAMES: &[&str] = &[
     "--wave",
     "--mlp",
     "--jobs",
-    "--engine-threads",
     "--max-workloads",
     "--telemetry",
     "--epoch",
@@ -226,7 +211,6 @@ fn builder_for(mut workload: Workload, kind: DramKind, f: &Flags) -> SystemBuild
         .workload(workload)
         .gpu_config(gpu)
         .ctrl_config(ctrl)
-        .engine_threads(f.engine_threads)
         .io_technology(if f.grs { IoTechnology::Grs } else { IoTechnology::Podl });
     if let Some(spec) = &f.faults {
         b = b.faults(spec.clone()).fault_seed(f.fault_seed);
@@ -375,7 +359,6 @@ fn print_usage() {
                 fgdram-sim run STREAM --faults storm --fault-seed 7\n\
                 fgdram-sim compare STREAM --window 50000\n\
                 fgdram-sim suite compute --jobs 8 --telemetry suite.csv\n\
-                fgdram-sim suite compute --engine-threads 4\n\
          exit codes: 0 ok, 2 usage, 3 config, 4 protocol, 5 stall, 6 I/O, 7 fault storm"
     );
 }

@@ -7,12 +7,11 @@
 //! simulated-cycles/sec (the DRAM clock is modelled at 1 GHz, so one
 //! simulated cycle is one simulated nanosecond), and peak RSS. The file is
 //! hand-rolled JSON (this binary is registry-free, like the rest of the
-//! root package; Criterion stays quarantined in `crates/bench`).
+//! repository).
 //!
 //! Usage:
 //!   perf-snapshot [--smoke] [--out PATH] [--warmup NS] [--window NS] [--repeat N]
-//!                 [--jobs N] [--engine-threads N] [--compare OLD.json]
-//!                 [--fail-below RATIO]
+//!                 [--jobs N] [--compare OLD.json] [--fail-below RATIO]
 //!
 //! `--compare OLD.json` prints per-bench and aggregate cycles/sec ratios
 //! of this run against a previous snapshot (new / old; above 1.0 is
@@ -56,7 +55,6 @@ struct Flags {
     window: Ns,
     repeat: usize,
     jobs: usize,
-    engine_threads: usize,
     compare: Option<String>,
     fail_below: Option<f64>,
 }
@@ -64,7 +62,7 @@ struct Flags {
 fn usage() -> ! {
     eprintln!(
         "usage: perf-snapshot [--smoke] [--out PATH] [--warmup NS] [--window NS] [--repeat N] \
-         [--jobs N] [--engine-threads N] [--compare OLD.json] [--fail-below RATIO]"
+         [--jobs N] [--compare OLD.json] [--fail-below RATIO]"
     );
     std::process::exit(2);
 }
@@ -77,7 +75,6 @@ fn parse_flags() -> Flags {
         window: 20_000,
         repeat: 1,
         jobs: 1,
-        engine_threads: 1,
         compare: None,
         fail_below: None,
     };
@@ -101,13 +98,6 @@ fn parse_flags() -> Flags {
             }
             "--jobs" => {
                 f.jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--engine-threads" => {
-                f.engine_threads = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n| n > 0)
@@ -219,10 +209,7 @@ impl BenchResult {
 
 fn bench_cell(w: &Workload, kind: DramKind, f: &Flags) -> Result<BenchResult, SimError> {
     let t0 = Instant::now();
-    let report = SystemBuilder::new(kind)
-        .workload(w.clone())
-        .engine_threads(f.engine_threads)
-        .run(f.warmup, f.window)?;
+    let report = SystemBuilder::new(kind).workload(w.clone()).run(f.warmup, f.window)?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
     // The report only proves the run happened; the metric is wall time
     // over the whole horizon (warmup + window), which is what a sweep pays.
@@ -282,7 +269,6 @@ fn render(results: &[BenchResult], f: &Flags, date: &str) -> String {
     out.push_str(&format!("  \"window_ns\": {},\n", f.window));
     out.push_str(&format!("  \"repeat\": {},\n", f.repeat));
     out.push_str(&format!("  \"jobs\": {},\n", f.jobs));
-    out.push_str(&format!("  \"engine_threads\": {},\n", f.engine_threads));
     out.push_str(&format!(
         "  \"host_parallelism\": {},\n",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)

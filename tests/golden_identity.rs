@@ -1,6 +1,6 @@
 //! Byte-identity gate for the engine rewrite: the full quick-scale suite,
 //! telemetry JSONL, and fault output must match the committed golden
-//! exactly, at `--jobs` 1 and 8 and `--engine-threads` 1, 2, and 8 alike.
+//! exactly, at `--jobs` 1 and 8 alike.
 //!
 //! Provenance: the engine rebuild (event wheel, scheduler hit caches,
 //! batched issue, refresh drain) was verified byte-identical to the
@@ -9,11 +9,11 @@
 //! the one *intentional* behaviour change, which alters channel wake
 //! times and is observable through the GPU issue batcher (see
 //! DESIGN.md "Engine"). It was regenerated a second time for the
-//! refresh-stagger clamp (PR 10): the parallel lane refactor and the
-//! wheel-drain/slice-shift perf fixes were first verified byte-identical
-//! against the previous golden at every thread count, then the phase
-//! formula's `% t_refi` clamp landed as that PR's one intentional
-//! change (only the last channel's refresh phase moves, t_refi -> 0).
+//! refresh-stagger clamp (PR 10): the wheel-drain/slice-shift perf fixes
+//! were first verified byte-identical against the previous golden, then
+//! the phase formula's `% t_refi` clamp landed as that PR's one
+//! intentional change (only the last channel's refresh phase moves,
+//! t_refi -> 0).
 //!
 //! `Debug` formatting round-trips every `f64` exactly, so equal strings
 //! mean equal bits. Regenerate the golden (only when an *intentional*
@@ -34,12 +34,12 @@ const GOLDEN_PATH: &str = "tests/golden/quick_suite.txt";
 
 /// The quick-scale suite matrix (the `Scale::quick` cells every bench and
 /// CI smoke run exercises), rendered via `Debug`.
-fn matrix_snapshot(jobs: usize, engine_threads: usize) -> String {
+fn matrix_snapshot(jobs: usize) -> String {
     let scale = Scale::quick().with_jobs(jobs);
     let suite = suites::compute_suite();
     let workloads = &suite[..4.min(suite.len())];
     let rows = experiments::run_matrix_with(workloads, &DramKind::ALL, scale, |w, k| {
-        SystemBuilder::new(k).workload(w.clone()).engine_threads(engine_threads)
+        SystemBuilder::new(k).workload(w.clone())
     })
     .expect("quick matrix");
     let mut out = String::new();
@@ -50,11 +50,10 @@ fn matrix_snapshot(jobs: usize, engine_threads: usize) -> String {
 }
 
 /// One instrumented STREAM run on FGDRAM: epoch telemetry as JSONL.
-fn telemetry_snapshot(engine_threads: usize) -> String {
+fn telemetry_snapshot() -> String {
     let (report, t) = SystemBuilder::new(DramKind::Fgdram)
         .workload(suites::by_name("STREAM").expect("in suite"))
         .telemetry(TelemetryConfig::for_window(1_000, 5_000))
-        .engine_threads(engine_threads)
         .run_instrumented(1_000, 5_000)
         .expect("instrumented run");
     let jsonl = export::to_jsonl_string(&[("arch", "FGDRAM")], &t.expect("telemetry enabled"));
@@ -62,29 +61,28 @@ fn telemetry_snapshot(engine_threads: usize) -> String {
 }
 
 /// One faulted STREAM run on FGDRAM: report plus fault counters.
-fn fault_snapshot(engine_threads: usize) -> String {
+fn fault_snapshot() -> String {
     let report = SystemBuilder::new(DramKind::Fgdram)
         .workload(suites::by_name("STREAM").expect("in suite"))
         .faults(FaultSpec::parse("ce=0.05,due=0.002,threshold=64").expect("valid spec"))
         .fault_seed(7)
-        .engine_threads(engine_threads)
         .run(1_000, 5_000)
         .expect("faulted run");
     format!("{report:?}\n")
 }
 
-fn full_snapshot(jobs: usize, engine_threads: usize) -> String {
+fn full_snapshot(jobs: usize) -> String {
     format!(
         "== matrix (quick scale) ==\n{}== telemetry ==\n{}== faults ==\n{}",
-        matrix_snapshot(jobs, engine_threads),
-        telemetry_snapshot(engine_threads),
-        fault_snapshot(engine_threads),
+        matrix_snapshot(jobs),
+        telemetry_snapshot(),
+        fault_snapshot(),
     )
 }
 
 #[test]
-fn quick_suite_output_is_byte_identical_to_golden_at_any_jobs_and_thread_level() {
-    let serial = full_snapshot(1, 1);
+fn quick_suite_output_is_byte_identical_to_golden_at_any_jobs_level() {
+    let serial = full_snapshot(1);
     if std::env::var_os("FGDRAM_UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all("tests/golden").expect("mkdir golden");
         std::fs::write(GOLDEN_PATH, &serial).expect("write golden");
@@ -93,20 +91,6 @@ fn quick_suite_output_is_byte_identical_to_golden_at_any_jobs_and_thread_level()
     }
     let golden = std::fs::read_to_string(GOLDEN_PATH)
         .expect("golden missing; run FGDRAM_UPDATE_GOLDEN=1 cargo test --test golden_identity");
-    assert_eq!(
-        serial, golden,
-        "jobs=1 engine-threads=1 quick-suite output diverged from the committed golden"
-    );
-    for jobs in [1, 8] {
-        for engine_threads in [1, 2, 8] {
-            if (jobs, engine_threads) == (1, 1) {
-                continue;
-            }
-            let sharded = full_snapshot(jobs, engine_threads);
-            assert_eq!(
-                sharded, golden,
-                "jobs={jobs} engine-threads={engine_threads} output diverged from the golden"
-            );
-        }
-    }
+    assert_eq!(serial, golden, "jobs=1 quick-suite output diverged from the committed golden");
+    assert_eq!(full_snapshot(8), golden, "jobs=8 output diverged from the golden");
 }

@@ -50,11 +50,38 @@ fn smoke_snapshot_writes_valid_schema_json() {
     }
 }
 
+/// The checked-in snapshots predate the removal of the engine-thread
+/// knob and still carry its `"engine_threads"` provenance field;
+/// `--compare` must keep reading them (unknown fields are ignored).
+#[test]
+fn compare_accepts_checked_in_snapshots_with_retired_fields() {
+    for baseline in ["BENCH_2026-08-07.json", "BENCH_2026-08-07c.json"] {
+        let path = format!("{}/{baseline}", env!("CARGO_MANIFEST_DIR"));
+        let body = std::fs::read_to_string(&path).expect("checked-in snapshot exists");
+        assert!(body.contains("\"engine_threads\""), "{baseline} no longer exercises this case");
+        let out_path = std::env::temp_dir()
+            .join(format!("fgdram_bench_compare_{}_{baseline}", std::process::id()));
+        let out = Command::new(env!("CARGO_BIN_EXE_perf-snapshot"))
+            .args(["--smoke", "--compare", &path, "--out"])
+            .arg(&out_path)
+            .output()
+            .expect("perf-snapshot spawns");
+        let _ = std::fs::remove_file(&out_path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--compare {baseline} failed ({}): {stderr}", out.status);
+        assert!(stderr.contains("aggregate"), "no comparison printed for {baseline}: {stderr}");
+    }
+}
+
 #[test]
 fn bad_flags_exit_with_usage_code() {
-    let out = Command::new(env!("CARGO_BIN_EXE_perf-snapshot"))
-        .arg("--no-such-flag")
-        .output()
-        .expect("perf-snapshot spawns");
-    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    // `--engine-threads` was removed with the engine's worker pool: it must
+    // be rejected like any unknown flag, not silently ignored.
+    for args in [&["--no-such-flag"][..], &["--smoke", "--engine-threads", "2"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_perf-snapshot"))
+            .args(args)
+            .output()
+            .expect("perf-snapshot spawns");
+        assert_eq!(out.status.code(), Some(2), "usage errors exit 2: {args:?}");
+    }
 }
