@@ -160,6 +160,20 @@ kill -9 "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=
 
+echo "== smoke: the frozen repo benchmark builds against this tree and agrees with it =="
+# benchmark/ is a package of its own (tier-1 never builds it) whose
+# src/shadow.rs re-wires System::step over the public layer APIs: it calls
+# Controller::{try_enqueue, tick} and EventWheel::{push, pop_due,
+# next_time} directly. A ctrl/model change that stops it compiling, fails
+# one of its output checks (`failed` > 0 -> non-zero exit) or makes its
+# shadow diverge from System (trace.counter_mismatch) must fail here, not
+# in the pipeline that runs the benchmark after the PR.
+benchmark/run.sh run --smoke --out "$sdir/bench_smoke.json" > /dev/null
+benchmark/run.sh run --smoke --trace 1 --out "$sdir/bench_trace.json" > /dev/null
+agree="$(grep -A2 '"trace.counter_mismatch"' "$sdir/bench_trace.json" | grep -c '"values": \[0\]' || true)"
+[ "$agree" -eq 5 ] || { echo "trace.counter_mismatch is 0 on $agree of 5 workloads"; exit 1; }
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== lint: clippy (workspace, including fgdram-faults) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

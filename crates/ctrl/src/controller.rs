@@ -84,9 +84,11 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when the DRAM geometry is invalid.
+    /// Returns [`ConfigError`] when the DRAM geometry is invalid, or wider
+    /// than the packed queue records hold ([`ConfigError::FieldTooWide`]).
     pub fn new(dram: &DramConfig, ctrl: CtrlConfig) -> Result<Self, ConfigError> {
         let mapper = AddressMapper::new(dram)?;
+        Pending::check_geometry(dram)?;
         let channels = dram.channels;
         let scheds = (0..channels as u32)
             .map(|ch| {
@@ -260,7 +262,7 @@ impl Controller {
         }
         let before = self.effective_next(loc.channel);
         let sched = &mut self.scheds[loc.channel as usize];
-        sched.enqueue(Pending::new(req, loc, now, self.seq), now);
+        sched.enqueue(&req, &loc, self.seq, now);
         let depth = sched.pending() as u64;
         let after = self.effective_next(loc.channel);
         if after != before {
@@ -363,6 +365,47 @@ mod tests {
             now = next.max(now + 1);
         }
         out
+    }
+
+    #[test]
+    fn every_shipped_geometry_fits_the_packed_queue_records() {
+        let ablations = [
+            DramConfig::qb_hbm_atom128(),
+            DramConfig::qb_hbm_deep_bank_groups(),
+            DramConfig::fgdram_non_stacked(),
+            DramConfig::qb_hbm_salp_only(),
+            DramConfig::qb_hbm_subchannels_only(),
+        ];
+        for cfg in DramKind::ALL.into_iter().map(DramConfig::new).chain(ablations) {
+            Controller::new(&cfg, CtrlConfig::for_dram(&cfg))
+                .unwrap_or_else(|e| panic!("{:?}: {e}", cfg.kind));
+        }
+    }
+
+    #[test]
+    fn over_wide_geometry_is_a_typed_error_not_a_truncation() {
+        let base = DramConfig::new(DramKind::QbHbm);
+        let wide = [
+            ("rows_per_bank", DramConfig { rows_per_bank: 1 << 25, ..base.clone() }),
+            (
+                "slices_per_row",
+                DramConfig { row_bytes: 1 << 16, activation_bytes: 256, ..base.clone() },
+            ),
+            (
+                "atoms_per_row",
+                DramConfig { row_bytes: 8192, activation_bytes: 8192, ..base.clone() },
+            ),
+            ("banks_per_channel", DramConfig { banks_per_channel: 256, ..base.clone() }),
+        ];
+        for (field, cfg) in wide {
+            match Controller::new(&cfg, CtrlConfig::default()) {
+                Err(ConfigError::FieldTooWide { name, .. }) => assert_eq!(name, field),
+                other => panic!("{field}: expected FieldTooWide, got {:?}", other.map(|_| ())),
+            }
+        }
+        // The widest geometry the records hold is accepted.
+        let widest = DramConfig { rows_per_bank: 1 << 24, ..base };
+        assert!(Controller::new(&widest, CtrlConfig::default()).is_ok());
     }
 
     #[test]

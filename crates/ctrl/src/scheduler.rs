@@ -10,31 +10,70 @@
 use std::collections::VecDeque;
 
 use fgdram_dram::{DramDevice, ProtocolError, Rule};
-use fgdram_model::addr::{Location, MemRequest};
+use fgdram_model::addr::{Location, MemRequest, ReqId};
 use fgdram_model::cmd::{BankRef, Completion, DramCommand};
-use fgdram_model::config::{CtrlConfig, PagePolicy};
+use fgdram_model::config::{ConfigError, CtrlConfig, DramConfig, PagePolicy};
 use fgdram_model::units::Ns;
 
 use crate::arena::{FifoRing, RequestArena};
 use crate::stats::CtrlStats;
 
-/// A queued request with its decoded location and arrival order.
+/// A queued request: what the scheduler still needs of a [`MemRequest`]
+/// and its [`Location`] once the controller has routed it to this channel
+/// (the address and the channel index are dead by then).
+///
+/// Exactly 32 bytes — two per cache line of the [`RequestArena`] slab.
+/// The narrow fields cannot truncate: [`Pending::check_geometry`] gates
+/// `Controller::new`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pending {
-    pub req: MemRequest,
-    pub loc: Location,
+    pub id: ReqId,
     pub arrived: Ns,
     pub seq: u64,
-    /// Subchannel slice of `loc.col`, precomputed on admission
-    /// ([`ChannelSched::enqueue`]) so queue scans stop dividing per entry.
-    pub slice: u32,
+    pub row: u32,
+    pub col: u8,
+    /// Subchannel slice of `col`, decoded once on admission.
+    pub slice: u8,
+    pub bank: u8,
+    pub is_write: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Pending>() == 32);
+
+/// The `(row, slice)` pair a window scan compares, as one word.
+#[inline]
+fn scan_key(row: u32, slice: u32) -> u32 {
+    row << 8 | slice
+}
+
+/// Inverse of [`scan_key`]: `(row, slice)`.
+#[inline]
+fn key_parts(key: u32) -> (u32, u32) {
+    (key >> 8, key & 0xff)
 }
 
 impl Pending {
-    pub(crate) fn new(req: MemRequest, loc: Location, arrived: Ns, seq: u64) -> Self {
-        // `slice` is filled in by the owning scheduler on enqueue (it
-        // knows the channel's atoms-per-activation).
-        Pending { req, loc, arrived, seq, slice: 0 }
+    /// Rejects a geometry whose bank, column or slice indices do not fit
+    /// the byte each gets here, or whose rows do not fit the 24 bits
+    /// [`scan_key`] leaves them.
+    pub(crate) fn check_geometry(dram: &DramConfig) -> Result<(), ConfigError> {
+        for (name, value, max) in [
+            ("rows_per_bank", dram.rows_per_bank as u64, 1 << 24),
+            ("slices_per_row", dram.slices_per_row(), 255),
+            ("atoms_per_row", dram.atoms_per_row(), 255),
+            ("banks_per_channel", dram.banks_per_channel as u64, 255),
+        ] {
+            if value > max {
+                return Err(ConfigError::FieldTooWide { name, value, max });
+            }
+        }
+        Ok(())
+    }
+
+    /// What the arena's key lane stores for this request.
+    #[inline]
+    pub(crate) fn key(&self) -> u32 {
+        scan_key(self.row, self.slice.into())
     }
 }
 
@@ -115,16 +154,16 @@ impl ChannelSched {
         // Admission control bounds live reads/writes to the configured
         // depths, and any one bank may transiently hold a whole
         // direction's worth — each ring gets the full per-direction depth.
-        let fill = Pending::new(
-            MemRequest {
-                id: fgdram_model::addr::ReqId(0),
-                addr: fgdram_model::addr::PhysAddr(0),
-                is_write: false,
-            },
-            Location { channel: 0, bank: 0, row: 0, col: 0 },
-            0,
-            0,
-        );
+        let fill = Pending {
+            id: ReqId(0),
+            arrived: 0,
+            seq: 0,
+            row: 0,
+            col: 0,
+            slice: 0,
+            bank: 0,
+            is_write: false,
+        };
         let mut arena = RequestArena::with_capacity(
             banks * (cfg.read_queue_depth + cfg.write_buffer_depth),
             fill,
@@ -182,9 +221,21 @@ impl ChannelSched {
         direct || self.overflow.len() < self.cfg.xbar_queue_depth
     }
 
-    pub fn enqueue(&mut self, mut p: Pending, now: Ns) {
-        p.slice = self.slice_of(&p.loc);
-        let room = if p.req.is_write {
+    /// Queues `req`, already routed to `loc` on this channel, as the
+    /// `seq`-th request the controller accepted.
+    pub fn enqueue(&mut self, req: &MemRequest, loc: &Location, seq: u64, now: Ns) {
+        // Narrowing is lossless: `Pending::check_geometry` bounds them.
+        let p = Pending {
+            id: req.id,
+            arrived: now,
+            seq,
+            row: loc.row,
+            col: loc.col as u8,
+            slice: (loc.col >> self.slice_shift) as u8,
+            bank: loc.bank as u8,
+            is_write: req.is_write,
+        };
+        let room = if p.is_write {
             self.writes < self.cfg.write_buffer_depth
         } else {
             self.reads < self.cfg.read_queue_depth
@@ -198,9 +249,9 @@ impl ChannelSched {
     }
 
     fn enqueue_direct(&mut self, p: Pending) {
-        let bank = p.loc.bank as usize;
-        let dir = p.req.is_write as usize;
-        let len_before = if p.req.is_write {
+        let bank = p.bank as usize;
+        let dir = p.is_write as usize;
+        let len_before = if p.is_write {
             self.write_q[bank].push_back(&mut self.arena, p);
             self.writes += 1;
             self.write_q[bank].len() - 1
@@ -221,7 +272,7 @@ impl ChannelSched {
     /// Moves overflow arrivals into the scheduler queues as room appears.
     fn drain_overflow(&mut self) {
         while let Some(p) = self.overflow.front() {
-            let room = if p.req.is_write {
+            let room = if p.is_write {
                 self.writes < self.cfg.write_buffer_depth
             } else {
                 self.reads < self.cfg.read_queue_depth
@@ -234,11 +285,6 @@ impl ChannelSched {
             let p = self.overflow.pop_front().expect("checked front");
             self.enqueue_direct(p);
         }
-    }
-
-    #[inline]
-    fn slice_of(&self, loc: &Location) -> u32 {
-        loc.col >> self.slice_shift
     }
 
     fn bank_ref(&self, bank: u32) -> BankRef {
@@ -259,11 +305,12 @@ impl ChannelSched {
         if !bank_view.any_open() {
             return None;
         }
-        let scan = self.cfg.reorder_window.max(1);
-        self.queue(use_writes)[bank]
-            .iter(&self.arena)
-            .take(scan)
-            .position(|p| bank_view.open_at(p.loc.row, p.slice).is_some_and(|o| o.row == p.loc.row))
+        self.window_keys(bank, use_writes)
+            .iter()
+            .position(|&k| {
+                let (row, slice) = key_parts(k);
+                bank_view.open_at(row, slice).is_some_and(|o| o.row == row)
+            })
             .map(|i| i as u32)
     }
 
@@ -446,6 +493,13 @@ impl ChannelSched {
         }
     }
 
+    /// Scan keys of the reorder window of (`bank`, direction) — the only
+    /// thing the probes below read of a queue.
+    #[inline]
+    fn window_keys(&self, bank: usize, is_write: bool) -> &[u32] {
+        self.queue(is_write)[bank].keys(&self.arena, self.cfg.reorder_window.max(1))
+    }
+
     /// Finds and issues a row-buffer hit; `Ok(None)` when no hit is
     /// issuable at `now` (earliest times folded into `wake`).
     ///
@@ -488,7 +542,7 @@ impl ChannelSched {
             // in debug builds) only holds in-window indices.
             let p = self.queue(use_writes)[b].get(&self.arena, i).expect("cached hit present");
             let e = ch
-                .earliest_col(b as u32, p.loc.row, p.slice, p.req.is_write, now)
+                .earliest_col(b as u32, p.row, p.slice.into(), p.is_write, now)
                 .map(|t| t.max(now))
                 .unwrap_or(Ns::MAX);
             if best.is_none_or(|(be, bs, _, _)| (e, p.seq) < (be, bs)) {
@@ -501,26 +555,14 @@ impl ChannelSched {
             return Ok(None);
         }
         let p = *self.queue(use_writes)[bank].get(&self.arena, idx).expect("scheduled request");
-        let slice = p.slice;
         let auto_precharge = self.cfg.page_policy == PagePolicy::Closed
-            || !self.row_reusable(bank, idx, use_writes, p.loc.row, slice);
+            || !self.row_reusable(bank, idx, use_writes, p.key());
         let bankref = self.bank_ref(bank as u32);
-        let cmd = if p.req.is_write {
-            DramCommand::Write {
-                bank: bankref,
-                row: p.loc.row,
-                col: p.loc.col,
-                auto_precharge,
-                req: p.req.id,
-            }
+        let (row, col) = (p.row, p.col.into());
+        let cmd = if p.is_write {
+            DramCommand::Write { bank: bankref, row, col, auto_precharge, req: p.id }
         } else {
-            DramCommand::Read {
-                bank: bankref,
-                row: p.loc.row,
-                col: p.loc.col,
-                auto_precharge,
-                req: p.req.id,
-            }
+            DramCommand::Read { bank: bankref, row, col, auto_precharge, req: p.id }
         };
         let e = dev.earliest(&cmd, now)?;
         if e > now {
@@ -543,7 +585,7 @@ impl ChannelSched {
             self.note_precharge(bank);
         }
         if let Some(c) = completion {
-            if !removed.req.is_write {
+            if !removed.is_write {
                 stats.record_read_latency(removed.arrived, c.at);
             }
         }
@@ -552,27 +594,16 @@ impl ChannelSched {
     }
 
     /// True when another queued request (read or write) can still use the
-    /// open (`row`, `slice`) of `bank`, so the row should stay open.
-    fn row_reusable(
-        &self,
-        bank: usize,
-        skip_idx: usize,
-        skip_writes: bool,
-        row: u32,
-        slice: u32,
-    ) -> bool {
-        let scan = self.cfg.reorder_window.max(1);
-        let matches = |p: &Pending| p.loc.row == row && p.slice == slice;
-        self.read_q[bank]
-            .iter(&self.arena)
-            .take(scan)
-            .enumerate()
-            .any(|(i, p)| (skip_writes || i != skip_idx) && matches(p))
-            || self.write_q[bank]
-                .iter(&self.arena)
-                .take(scan)
+    /// open row and slice of `bank` that `key` names, so the row should
+    /// stay open.
+    fn row_reusable(&self, bank: usize, skip_idx: usize, skip_writes: bool, key: u32) -> bool {
+        let reused = |is_write: bool| {
+            self.window_keys(bank, is_write)
+                .iter()
                 .enumerate()
-                .any(|(i, p)| (!skip_writes || i != skip_idx) && matches(p))
+                .any(|(i, &k)| k == key && (is_write != skip_writes || i != skip_idx))
+        };
+        reused(false) || reused(true)
     }
 
     /// Tries to open a row (or clear a conflict) for the oldest
@@ -599,13 +630,13 @@ impl ChannelSched {
             // Infallible: `fronts` was built from banks whose `front()` was
             // `Some`, and the queues are untouched between there and here.
             let p = *self.queue(use_writes)[b].front(&self.arena).expect("front exists");
-            let slice = p.slice;
+            let slice = u32::from(p.slice);
             let bankref = self.bank_ref(b as u32);
             // Already open with the right row: handled by try_column (it
             // was not issuable now; its wake time is already folded in).
-            let open = dev.channel(self.channel).bank(b as u32).open_at(p.loc.row, slice);
+            let open = dev.channel(self.channel).bank(b as u32).open_at(p.row, slice);
             if let Some(o) = open {
-                if o.row == p.loc.row {
+                if o.row == p.row {
                     continue;
                 }
                 // Conflict: close the loser — unless the active queue still
@@ -631,7 +662,7 @@ impl ChannelSched {
                 }
                 continue;
             }
-            let cmd = DramCommand::Activate { bank: bankref, row: p.loc.row, slice };
+            let cmd = DramCommand::Activate { bank: bankref, row: p.row, slice };
             match dev.earliest(&cmd, now) {
                 Ok(e) if e <= now => {
                     dev.issue(cmd, now)?;
@@ -689,7 +720,7 @@ impl ChannelSched {
         wake: &mut Ns,
     ) -> Result<Option<Step>, ProtocolError> {
         let sub_of = |row: u32| row / dev.config().rows_per_subarray() as u32;
-        let want_sub = sub_of(p.loc.row);
+        let want_sub = sub_of(p.row);
         match rule {
             Rule::SubarrayConflict if self.grain_based => {
                 // The sibling pseudobank holds a different row of the same
@@ -702,7 +733,7 @@ impl ChannelSched {
                         .channel(self.channel)
                         .bank(sib)
                         .open_rows()
-                        .find(|o| o.row != p.loc.row && sub_of(o.row) == want_sub)
+                        .find(|o| o.row != p.row && sub_of(o.row) == want_sub)
                         .map(|o| (o.row, o.slice));
                     if let Some((row, slice)) = blocking {
                         if self.row_has_pending(sib as usize, row, slice, use_writes) {
@@ -760,11 +791,7 @@ impl ChannelSched {
     /// Whether the active queue (within the reorder window) still targets
     /// the open (`row`, `slice`) of `bank`.
     fn row_has_pending(&self, bank: usize, row: u32, slice: u32, use_writes: bool) -> bool {
-        let scan = self.cfg.reorder_window.max(1);
-        self.queue(use_writes)[bank]
-            .iter(&self.arena)
-            .take(scan)
-            .any(|p| p.loc.row == row && p.slice == slice)
+        self.window_keys(bank, use_writes).contains(&scan_key(row, slice))
     }
 
     #[allow(clippy::too_many_arguments)]

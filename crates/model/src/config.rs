@@ -494,6 +494,17 @@ pub enum ConfigError {
         /// One past the largest valid index.
         limit: u64,
     },
+    /// A geometry count exceeds what a component's packed state can hold
+    /// (the controller's queue records keep bank, column and slice in a
+    /// byte each).
+    FieldTooWide {
+        /// Field name.
+        name: &'static str,
+        /// Offending value.
+        value: u64,
+        /// Largest supported value.
+        max: u64,
+    },
     /// An input artifact (e.g. a `--compare` snapshot) is missing a
     /// required field or does not match the shape of the current run.
     Artifact {
@@ -522,6 +533,9 @@ impl core::fmt::Display for ConfigError {
             }
             ConfigError::FaultTarget { what, index, limit } => {
                 write!(f, "fault-spec dead {what} {index} outside geometry (< {limit})")
+            }
+            ConfigError::FieldTooWide { name, value, max } => {
+                write!(f, "{name} ({value}) exceeds the supported maximum of {max}")
             }
             ConfigError::Artifact { reason } => write!(f, "invalid input artifact: {reason}"),
         }

@@ -32,6 +32,12 @@
 //! residue per horizon window), so storage order inside a slot is
 //! unobservable and the pop sequence is identical to the per-slot-`Vec`
 //! wheel's.
+//!
+//! Ordered pops of a slot holding many events (STREAM on FGDRAM parks
+//! about 30 on one ns, GUPS hundreds of controller wakes) do not search
+//! the chain for the minimum each time — that is O(k^2) per ns. The
+//! first pop unlinks the whole slot into `batch`, sorts it once, and the
+//! rest of that ns is served from there.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,7 +76,16 @@ pub struct EventWheel<T> {
     summary: u64,
     /// Events at or beyond `base + W`.
     overflow: BinaryHeap<Reverse<(Ns, T)>>,
+    /// The multi-entry slot being popped in order: all entries of one time
+    /// (`base <= time < base + W`), sorted descending so the minimum is
+    /// `last()`. While it is live its slot is empty — `push` routes that
+    /// time here — so batch, slots and overflow never tie on time.
+    batch: Vec<(Ns, T)>,
 }
+
+/// `batch` (like `pool`) is sized once for the busiest slot seen in
+/// practice, so taking a slot apart stays off the allocator.
+const BATCH_CAP: usize = 1024;
 
 impl<T: Ord + Copy> EventWheel<T> {
     /// An empty wheel based at time 0.
@@ -88,6 +103,7 @@ impl<T: Ord + Copy> EventWheel<T> {
             words: [0; WORDS],
             summary: 0,
             overflow: BinaryHeap::with_capacity(64),
+            batch: Vec::with_capacity(BATCH_CAP),
         }
     }
 
@@ -114,9 +130,9 @@ impl<T: Ord + Copy> EventWheel<T> {
         self.wheel_len += 1;
     }
 
-    /// Total scheduled events (wheel + overflow).
+    /// Total scheduled events (slots + batch + overflow).
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
+        self.wheel_len + self.batch.len() + self.overflow.len()
     }
 
     /// True when nothing is scheduled.
@@ -132,6 +148,11 @@ impl<T: Ord + Copy> EventWheel<T> {
     /// past (`base` trails the last `pop_due` time, which trails `now`).
     pub fn push(&mut self, t: Ns, ev: T) {
         debug_assert!(t >= self.base, "event scheduled into the past: {t} < base {}", self.base);
+        if self.batch_time() == Some(t) {
+            let at = self.batch.partition_point(|&e| e > (t, ev));
+            self.batch.insert(at, (t, ev));
+            return;
+        }
         if t >= self.base + W as Ns {
             self.overflow.push(Reverse((t, ev)));
             return;
@@ -141,12 +162,14 @@ impl<T: Ord + Copy> EventWheel<T> {
 
     /// The earliest scheduled time, if any. Mutation-free.
     pub fn next_time(&self) -> Option<Ns> {
-        let wheel = self.min_wheel_time();
         let over = self.overflow.peek().map(|&Reverse((t, _))| t);
-        match (wheel, over) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        [self.batch_time(), self.min_wheel_time(), over].into_iter().flatten().min()
+    }
+
+    /// The time all entries of the live batch share, if there is one.
+    #[inline]
+    fn batch_time(&self) -> Option<Ns> {
+        self.batch.last().map(|&(t, _)| t)
     }
 
     /// Pops the minimum `(time, event)` if it is due (`time <= now`).
@@ -161,7 +184,7 @@ impl<T: Ord + Copy> EventWheel<T> {
             return None;
         }
         self.advance_base(m);
-        self.pop_min()
+        self.pop_at(m)
     }
 
     /// Moves every due entry (`time <= now`) into `out`, in **slot order
@@ -181,6 +204,10 @@ impl<T: Ord + Copy> EventWheel<T> {
                 return;
             }
             self.advance_base(m);
+            if self.batch_time() == Some(m) {
+                out.append(&mut self.batch);
+                continue;
+            }
             // Overflow entries at exactly `m` that the advance migrated are
             // now in the wheel; any still in the heap are later than `m`.
             if self.wheel_len == 0 {
@@ -189,26 +216,29 @@ impl<T: Ord + Copy> EventWheel<T> {
                 out.push(e);
                 continue;
             }
-            let s = (m & MASK) as usize;
-            let (it, iev) = self.inline[s].take().expect("bitmap bit set on empty slot");
-            debug_assert_eq!(it, m);
-            out.push((it, iev));
+            self.unlink_slot((m & MASK) as usize, out);
+        }
+    }
+
+    /// Moves every entry of the occupied slot `s` to the end of `out`
+    /// (inline entry first, then the chain: O(k)) and clears the slot.
+    fn unlink_slot(&mut self, s: usize, out: &mut Vec<(Ns, T)>) {
+        let first = self.inline[s].take().expect("bitmap bit set on empty slot");
+        out.push(first);
+        self.wheel_len -= 1;
+        let mut cur = std::mem::replace(&mut self.more[s], NIL);
+        while cur != NIL {
+            let (t, ev, next) = self.pool[cur as usize];
+            debug_assert_eq!(t, first.0, "one slot, one time");
+            out.push((t, ev));
+            self.pool[cur as usize].2 = self.free_head;
+            self.free_head = cur;
             self.wheel_len -= 1;
-            let mut cur = self.more[s];
-            while cur != NIL {
-                let (t, ev, next) = self.pool[cur as usize];
-                debug_assert_eq!(t, m);
-                out.push((t, ev));
-                self.pool[cur as usize].2 = self.free_head;
-                self.free_head = cur;
-                self.wheel_len -= 1;
-                cur = next;
-            }
-            self.more[s] = NIL;
-            self.words[s / 64] &= !(1 << (s % 64));
-            if self.words[s / 64] == 0 {
-                self.summary &= !(1 << (s / 64));
-            }
+            cur = next;
+        }
+        self.words[s / 64] &= !(1 << (s % 64));
+        if self.words[s / 64] == 0 {
+            self.summary &= !(1 << (s / 64));
         }
     }
 
@@ -220,73 +250,46 @@ impl<T: Ord + Copy> EventWheel<T> {
     /// past. A popped entry can always be pushed straight back (its time
     /// is `>= base` by the wheel invariant).
     pub fn pop_min(&mut self) -> Option<(Ns, T)> {
-        let wheel_min = self.min_wheel_time();
-        let over_min = self.overflow.peek().map(|&Reverse((t, _))| t);
-        let m = match (wheel_min, over_min) {
-            (None, None) => return None,
-            // Overflow times are >= base + W, wheel times < base + W, so
-            // the two ranges are disjoint and `<` picks the true minimum.
-            (Some(a), Some(b)) if b < a => {
-                let Reverse(e) = self.overflow.pop().expect("peeked");
-                return Some(e);
-            }
-            (None, Some(_)) => {
-                let Reverse(e) = self.overflow.pop().expect("peeked");
-                return Some(e);
-            }
-            (Some(a), _) => a,
-        };
+        let m = self.next_time()?;
+        self.pop_at(m)
+    }
+
+    /// Pops the minimum entry, given its time `m` (`next_time`'s answer).
+    fn pop_at(&mut self, m: Ns) -> Option<(Ns, T)> {
+        // Batch, slots and overflow never tie on time (see `batch`), so
+        // `m` names exactly one of them.
+        if self.batch_time() == Some(m) {
+            return self.batch.pop();
+        }
         let s = (m & MASK) as usize;
-        let (it, iev) = self.inline[s].expect("bitmap bit set on empty slot");
-        debug_assert_eq!(it, m);
-        self.wheel_len -= 1;
+        if self.inline[s].is_none_or(|(t, _)| t != m) {
+            // Not in the slots (an alias of `m` may be): beyond the horizon.
+            return self.overflow.pop().map(|Reverse(e)| e);
+        }
         if self.more[s] == NIL {
-            // Dominant case: a one-event slot never touches the pool.
-            self.inline[s] = None;
+            // Dominant case: a one-event slot never touches pool or batch.
+            let one = self.inline[s].take();
+            self.wheel_len -= 1;
             self.words[s / 64] &= !(1 << (s % 64));
             if self.words[s / 64] == 0 {
                 self.summary &= !(1 << (s / 64));
             }
-            return Some((it, iev));
+            return one;
         }
-        // All entries in one slot share the same time (one residue per
-        // horizon window), so the minimum is decided by the event alone —
-        // and equal-minimum entries are indistinguishable `Copy` values,
-        // so which of them is removed is unobservable.
-        let mut best = NIL; // NIL = the inline entry is the minimum so far
-        let mut best_prev = NIL;
-        let mut best_key = (it, iev);
-        let mut prev = NIL;
-        let mut cur = self.more[s];
-        while cur != NIL {
-            let c = self.pool[cur as usize];
-            if (c.0, c.1) < best_key {
-                best = cur;
-                best_prev = prev;
-                best_key = (c.0, c.1);
-            }
-            prev = cur;
-            cur = c.2;
+        // All entries of a slot share one time, so this pop and the ones
+        // that follow want them in event order: unlink the chain once and
+        // sort it, instead of searching it for the minimum on every pop.
+        // A live batch of a later time goes back to its (empty) slot
+        // first. That needs a `pop_min` to have left `base` short of the
+        // batch and earlier pushes since; a `pop_due` drain never sees it.
+        while let Some((t, ev)) = self.batch.pop() {
+            self.link(t, ev);
         }
-        if best == NIL {
-            // Inline wins: promote the chain head into the inline lane.
-            let head = self.more[s];
-            let (ht, hev, hnext) = self.pool[head as usize];
-            self.inline[s] = Some((ht, hev));
-            self.more[s] = hnext;
-            self.pool[head as usize].2 = self.free_head;
-            self.free_head = head;
-            return Some((it, iev));
-        }
-        let next = self.pool[best as usize].2;
-        if best_prev == NIL {
-            self.more[s] = next;
-        } else {
-            self.pool[best_prev as usize].2 = next;
-        }
-        self.pool[best as usize].2 = self.free_head;
-        self.free_head = best;
-        Some(best_key)
+        let mut batch = std::mem::take(&mut self.batch);
+        self.unlink_slot(s, &mut batch);
+        batch.sort_unstable_by(|a, b| b.cmp(a));
+        self.batch = batch;
+        self.batch.pop()
     }
 
     /// Jumps `base` forward to `nb` (callers guarantee every live entry is
@@ -381,10 +384,11 @@ mod tests {
 
     /// The exact-wake regression test for the engine rewrite: across a
     /// long randomised schedule (including same-time ties, same-slot
-    /// aliasing across the horizon, and far-overflow events), the wheel
-    /// yields exactly the heap's `(time, event)` sequence and its
-    /// `next_time` always equals the true minimum — the simulator never
-    /// wakes early (polling) or late (missed event).
+    /// aliasing across the horizon, far-overflow events, bursts of 64+
+    /// events on one ns, and pushes at `now` in the middle of a drain),
+    /// the wheel yields exactly the heap's `(time, event)` sequence and
+    /// its `next_time` always equals the true minimum — the simulator
+    /// never wakes early (polling) or late (missed event).
     #[test]
     fn matches_binary_heap_order_exactly() {
         for seed in [1u64, 7, 42] {
@@ -407,6 +411,16 @@ mod tests {
                     wheel.push(now + dt, ev);
                     reference.0.push(Reverse((now + dt, ev)));
                 }
+                if round % 16 == 0 {
+                    // Same-ns burst (the STREAM fill / GUPS wake pattern),
+                    // due now or a few ns out, with repeated events.
+                    let t = now + mix(&mut s) % 4;
+                    for _ in 0..64 + mix(&mut s) % 64 {
+                        let ev = (mix(&mut s) % 48) as u32;
+                        wheel.push(t, ev);
+                        reference.0.push(Reverse((t, ev)));
+                    }
+                }
                 assert_eq!(
                     wheel.next_time(),
                     reference.0.peek().map(|&Reverse((t, _))| t),
@@ -418,6 +432,14 @@ mod tests {
                     if a.is_none() {
                         break;
                     }
+                    if mix(&mut s) % 8 == 0 {
+                        // A handler schedules a follow-on event at `now`:
+                        // it must come out of this same drain, in order.
+                        let ev = (mix(&mut s) % 48) as u32;
+                        wheel.push(now, ev);
+                        reference.0.push(Reverse((now, ev)));
+                    }
+                    assert_eq!(wheel.len(), reference.0.len());
                 }
                 assert_eq!(wheel.len(), reference.0.len());
                 // Advance like the simulator: to the next event or by a
@@ -456,6 +478,11 @@ mod tests {
                     b.push(now + dt, ev);
                 }
                 let mut drained = Vec::new();
+                for _ in 0..mix(&mut s) % 3 {
+                    // Ordered pops first, so the bulk drain also meets a
+                    // slot that is already taken apart.
+                    drained.extend(a.pop_due(now));
+                }
                 a.drain_due_unordered(now, &mut drained);
                 drained.sort_unstable();
                 let mut popped = Vec::new();
@@ -570,11 +597,16 @@ mod tests {
                         1 => r % W as u64,
                         _ => W as u64 + r % 10_000,
                     };
-                    let id = next_id;
-                    next_id += 1;
-                    wheel.push(now + dt, id);
-                    reference.push(Reverse((now + dt, id)));
-                    live.push((now + dt, id));
+                    // One in four is a same-time burst: many channels
+                    // waking on one ns, some of them cancelled later.
+                    let burst = if r % 4 == 0 { 64 } else { 1 };
+                    for _ in 0..burst {
+                        let id = next_id;
+                        next_id += 1;
+                        wheel.push(now + dt, id);
+                        reference.push(Reverse((now + dt, id)));
+                        live.push((now + dt, id));
+                    }
                 }
                 // Cancellation burst: mark a random subset stale without
                 // touching either queue.
@@ -586,23 +618,25 @@ mod tests {
                     canceled.insert(live.swap_remove(i).1);
                 }
                 now += 1 + mix(&mut s) % 512;
-                loop {
-                    match wheel.pop_min() {
-                        Some((t, id)) if canceled.contains(&id) => {
-                            assert_eq!(reference.pop(), Some(Reverse((t, id))), "seed {seed}");
-                        }
-                        Some((t, id)) if t <= now => {
-                            assert_eq!(reference.pop(), Some(Reverse((t, id))), "seed {seed}");
-                            live.retain(|&(_, l)| l != id);
-                        }
-                        Some((t, id)) => {
-                            // Not due: push straight back (pop_min does
-                            // not advance base, so this must stay legal).
-                            wheel.push(t, id);
-                            break;
-                        }
-                        None => break,
+                // A controller tick: everything due comes out in order
+                // (which also moves `base` up to `now`) ...
+                while let Some((t, id)) = wheel.pop_due(now) {
+                    assert_eq!(reference.pop(), Some(Reverse((t, id))), "seed {seed}");
+                    live.retain(|&(_, l)| l != id);
+                }
+                // ... then stale tops are discarded until a live one
+                // surfaces, which goes straight back (pop_min does not
+                // advance base, so this must stay legal) and may leave a
+                // later slot taken apart while earlier pushes arrive.
+                while let Some((t, id)) = wheel.pop_min() {
+                    if canceled.contains(&id) {
+                        assert_eq!(reference.pop(), Some(Reverse((t, id))), "seed {seed}");
+                        continue;
                     }
+                    assert!(t > now, "seed {seed}: due entry survived the drain");
+                    assert_eq!(reference.peek(), Some(&Reverse((t, id))), "seed {seed}");
+                    wheel.push(t, id);
+                    break;
                 }
                 assert_eq!(wheel.len(), reference.len(), "seed {seed}");
             }
