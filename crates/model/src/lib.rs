@@ -35,6 +35,7 @@ pub mod cmd;
 pub mod config;
 pub mod flatmap;
 pub mod fxhash;
+pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod stream;

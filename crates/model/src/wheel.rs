@@ -210,12 +210,7 @@ impl<T: Ord + Copy> EventWheel<T> {
             }
             // Overflow entries at exactly `m` that the advance migrated are
             // now in the wheel; any still in the heap are later than `m`.
-            if self.wheel_len == 0 {
-                // `m` lives in the overflow heap beyond the horizon jump.
-                let Some(Reverse(e)) = self.overflow.pop() else { return };
-                out.push(e);
-                continue;
-            }
+            debug_assert!(self.wheel_len > 0, "minimum {m} is neither batch nor slot");
             self.unlink_slot((m & MASK) as usize, out);
         }
     }

@@ -8,8 +8,12 @@
 //! the admission/lifecycle outcomes a shared daemon introduces (queue
 //! full, quota, budget, cancel). Every error carries a stable short
 //! `code` string so scripts can dispatch without parsing messages.
+//!
+//! [`WireError`] is the one wire form of a failure: the JSON error body
+//! is rendered from it, the spool persists it, and a failed job holds it.
 
 use fgdram_core::SimError;
+use fgdram_model::json;
 
 /// A serving-layer failure.
 #[derive(Debug)]
@@ -89,24 +93,6 @@ impl ServeError {
         }
     }
 
-    /// The HTTP status this error maps to.
-    pub fn http_status(&self) -> u16 {
-        match self {
-            ServeError::BadRequest(_) => 400,
-            ServeError::NotFound(_) => 404,
-            ServeError::QueueFull { .. } | ServeError::Quota { .. } => 429,
-            ServeError::Overloaded { .. } => 429,
-            ServeError::Budget { .. } => 422,
-            ServeError::Timeout(_) => 408,
-            ServeError::Canceled => 409,
-            ServeError::ShuttingDown => 503,
-            // A config error in a cell means the spec validated but the
-            // simulation rejected it — still the client's input.
-            ServeError::Sim(SimError::Config(_)) => 400,
-            ServeError::Sim(_) => 500,
-        }
-    }
-
     /// The process exit code `fgdram-client` uses for this failure.
     /// Simulation errors keep their `fgdram_sim` codes (3-7); serving
     /// rejects use 8 (budget) and 9 (queue/quota backpressure), and 10
@@ -124,12 +110,6 @@ impl ServeError {
         }
     }
 
-    /// The `exit_code` field of the JSON body (what a local `fgdram_sim`
-    /// run would have exited with, where that is meaningful).
-    fn wire_exit_code(&self) -> u8 {
-        self.client_exit_code()
-    }
-
     /// Extra response headers this error carries (today: `Retry-After`
     /// on overload rejects, so well-behaved clients pace their retries).
     pub fn extra_headers(&self) -> Vec<(String, String)> {
@@ -140,33 +120,58 @@ impl ServeError {
             _ => Vec::new(),
         }
     }
+}
+
+/// A failure in wire form — the three fields of the JSON error body,
+/// which are also exactly what the spool's `failed` marker persists (the
+/// original [`SimError`] cannot be reconstructed after a restart).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WireError {
+    /// The stable error code string (e.g. `stall`).
+    pub code: String,
+    /// The exit code `fgdram-client` uses — for simulation failures, what
+    /// a local `fgdram_sim` run would have exited with.
+    pub exit_code: u8,
+    /// Human-readable message.
+    pub message: String,
+}
+
+impl WireError {
+    /// The HTTP status this error maps to. Keyed on the code string,
+    /// which is all that survives of an error replayed from the spool.
+    pub fn http_status(&self) -> u16 {
+        match self.code.as_str() {
+            // A config error in a cell means the spec validated but the
+            // simulation rejected it — still the client's input.
+            "bad-request" | "config" => 400,
+            "not-found" => 404,
+            "timeout" => 408,
+            "canceled" => 409,
+            "budget" => 422,
+            "queue-full" | "quota" | "overloaded" => 429,
+            "shutting-down" => 503,
+            _ => 500,
+        }
+    }
 
     /// Renders the typed JSON error body:
     /// `{"error":{"code":...,"exit_code":N,"message":...}}`.
     pub fn json_body(&self) -> String {
-        let mut msg = String::new();
-        json_escape_into(&mut msg, &self.to_string());
-        format!(
-            "{{\"error\":{{\"code\":\"{}\",\"exit_code\":{},\"message\":\"{}\"}}}}\n",
-            self.code(),
-            self.wire_exit_code(),
-            msg
-        )
+        let mut out = String::from("{\"error\":{\"code\":\"");
+        json::escape_into(&mut out, &self.code);
+        out.push_str(&format!("\",\"exit_code\":{},\"message\":\"", self.exit_code));
+        json::escape_into(&mut out, &self.message);
+        out.push_str("\"}}\n");
+        out
     }
 }
 
-/// Appends `s` JSON-escaped into `out` (quotes, backslash, control
-/// characters).
-pub(crate) fn json_escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl From<&ServeError> for WireError {
+    fn from(e: &ServeError) -> Self {
+        WireError {
+            code: e.code().to_string(),
+            exit_code: e.client_exit_code(),
+            message: e.to_string(),
         }
     }
 }
@@ -238,9 +243,10 @@ mod tests {
         ];
         for (e, code, status, exit) in cases {
             assert_eq!(e.code(), code);
-            assert_eq!(e.http_status(), status);
             assert_eq!(e.client_exit_code(), exit);
-            let body = e.json_body();
+            let wire = WireError::from(&e);
+            assert_eq!(wire.http_status(), status);
+            let body = wire.json_body();
             assert!(body.contains(&format!("\"code\":\"{code}\"")), "{body}");
         }
     }
@@ -249,9 +255,10 @@ mod tests {
     fn sim_errors_keep_their_core_exit_codes() {
         let e = ServeError::from(SimError::Stall { at: 1, pending: 2, idle_ns: 3, bound: 4 });
         assert_eq!(e.code(), "stall");
-        assert_eq!(e.http_status(), 500);
         assert_eq!(e.client_exit_code(), 5);
-        let body = e.json_body();
+        let wire = WireError::from(&e);
+        assert_eq!(wire.http_status(), 500);
+        let body = wire.json_body();
         assert!(body.contains("\"exit_code\":5"), "{body}");
     }
 
@@ -265,7 +272,10 @@ mod tests {
     #[test]
     fn json_body_escapes_messages() {
         let e = ServeError::BadRequest("a\"b\nc".into());
-        let body = e.json_body();
-        assert!(body.contains("a\\\"b\\nc"), "{body}");
+        assert_eq!(
+            WireError::from(&e).json_body(),
+            "{\"error\":{\"code\":\"bad-request\",\"exit_code\":2,\
+             \"message\":\"bad request: a\\\"b\\nc\"}}\n"
+        );
     }
 }

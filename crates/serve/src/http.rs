@@ -13,7 +13,7 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use crate::error::ServeError;
+use crate::error::{ServeError, WireError};
 
 /// Cap on request head + body sizes; a job spec is a few hundred bytes,
 /// so anything near this is a protocol error, not a workload.
@@ -215,12 +215,13 @@ pub fn write_response_ex<W: Write>(
 ///
 /// Propagates transport write failures.
 pub fn write_error<W: Write>(w: &mut W, e: &ServeError) -> io::Result<()> {
+    let wire = WireError::from(e);
     write_response_ex(
         w,
-        e.http_status(),
+        wire.http_status(),
         "application/json",
         &e.extra_headers(),
-        e.json_body().as_bytes(),
+        wire.json_body().as_bytes(),
     )
 }
 
@@ -509,7 +510,7 @@ mod tests {
             let mut r = io::BufReader::new(StallAfter { data: raw.to_vec(), at: 0 });
             let err = read_request(&mut r).expect_err("stalled request");
             assert_eq!(err.code(), "timeout", "{raw:?}");
-            assert_eq!(err.http_status(), 408);
+            assert_eq!(WireError::from(&err).http_status(), 408);
         }
     }
 

@@ -43,10 +43,11 @@ use fgdram_core::report::SimReport;
 use fgdram_core::suite::{render_report, SuiteSpec, SUITE_KINDS};
 use fgdram_core::SimError;
 use fgdram_model::config::DramKind;
+use fgdram_model::json;
 use fgdram_workloads::Workload;
 
 use crate::chaos::{Chaos, ChaosReader, ChaosSpec, ChaosWriter, WirePlan};
-use crate::error::{json_escape_into, ServeError};
+use crate::error::{ServeError, WireError};
 use crate::http::{read_request, write_error, write_response, ChunkedWriter, Request};
 use crate::spec;
 use crate::spool::{Artifact, CkptWriter, Spool, SpoolStatus};
@@ -101,65 +102,33 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lifecycle of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+/// Lifecycle of a job. The terminal states carry their outcome, so a
+/// done job cannot lack its report nor a failed one its error.
+#[derive(Debug)]
+enum JobState {
     Queued,
     Running,
-    Done,
-    Failed,
+    /// All cells completed; holds the rendered suite report.
+    Done(String),
+    /// A cell failed; holds the error in wire form (which is also how it
+    /// survives a spool round trip).
+    Failed(WireError),
     Canceled,
 }
 
-impl Phase {
-    fn label(self) -> &'static str {
+impl JobState {
+    fn label(&self) -> &'static str {
         match self {
-            Phase::Queued => "queued",
-            Phase::Running => "running",
-            Phase::Done => "done",
-            Phase::Failed => "failed",
-            Phase::Canceled => "canceled",
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Done(_) => "done",
+            JobState::Failed(_) => "failed",
+            JobState::Canceled => "canceled",
         }
     }
 
-    fn terminal(self) -> bool {
-        matches!(self, Phase::Done | Phase::Failed | Phase::Canceled)
-    }
-}
-
-/// A terminal job error in wire form (survives spool round trips, where
-/// the original [`SimError`] cannot be reconstructed).
-#[derive(Debug, Clone)]
-struct JobError {
-    code: String,
-    exit_code: u8,
-    message: String,
-}
-
-impl JobError {
-    fn from_serve(e: &ServeError) -> Self {
-        JobError {
-            code: e.code().to_string(),
-            exit_code: e.client_exit_code(),
-            message: e.to_string(),
-        }
-    }
-
-    fn http_status(&self) -> u16 {
-        match self.code.as_str() {
-            "config" | "bad-request" => 400,
-            "canceled" => 409,
-            _ => 500,
-        }
-    }
-
-    fn json_body(&self) -> String {
-        let mut msg = String::new();
-        json_escape_into(&mut msg, &self.message);
-        format!(
-            "{{\"error\":{{\"code\":\"{}\",\"exit_code\":{},\"message\":\"{}\"}}}}\n",
-            self.code, self.exit_code, msg
-        )
+    fn terminal(&self) -> bool {
+        matches!(self, JobState::Done(_) | JobState::Failed(_) | JobState::Canceled)
     }
 }
 
@@ -169,9 +138,7 @@ struct Job {
     workloads: Vec<Workload>,
     artifacts: Vec<Option<Artifact>>,
     completed: usize,
-    phase: Phase,
-    error: Option<JobError>,
-    report: Option<String>,
+    state: JobState,
     writer: Option<CkptWriter>,
 }
 
@@ -180,13 +147,14 @@ impl Job {
         self.artifacts.len()
     }
 
-    fn render_final(&mut self) {
+    /// The suite report of a job whose cells have all completed.
+    fn render_final(&self) -> String {
         let reports: Vec<SimReport> = self
             .artifacts
             .iter()
             .map(|a| a.as_ref().expect("all cells done").report.clone())
             .collect();
-        self.report = Some(render_report(self.spec.which, &self.workloads, &reports));
+        render_report(self.spec.which, &self.workloads, &reports)
     }
 }
 
@@ -352,9 +320,7 @@ impl Server {
                 workloads: Vec::new(),
                 artifacts: loaded.cells,
                 completed,
-                phase: Phase::Queued,
-                error: None,
-                report: None,
+                state: JobState::Queued,
                 writer: None,
             };
             job.workloads = job.spec.workloads();
@@ -367,25 +333,15 @@ impl Server {
             if let Some(k) = &loaded.key {
                 inner.keys.insert((loaded.tenant.clone(), k.clone()), loaded.id.clone());
             }
-            let resume = match loaded.status {
-                SpoolStatus::Done if completed == total => {
-                    job.phase = Phase::Done;
-                    job.render_final();
-                    false
-                }
-                SpoolStatus::Failed { code, exit_code, message } => {
-                    job.phase = Phase::Failed;
-                    job.error = Some(JobError { code, exit_code, message });
-                    false
-                }
-                SpoolStatus::Canceled => {
-                    job.phase = Phase::Canceled;
-                    false
-                }
+            job.state = match loaded.status {
+                SpoolStatus::Done if completed == total => JobState::Done(job.render_final()),
+                SpoolStatus::Failed(e) => JobState::Failed(e),
+                SpoolStatus::Canceled => JobState::Canceled,
                 // In progress (or a corrupt done marker): re-enqueue the
                 // missing cells; the completed ones are not recomputed.
-                SpoolStatus::Done | SpoolStatus::InProgress => true,
+                SpoolStatus::Done | SpoolStatus::InProgress => JobState::Queued,
             };
+            let resume = !job.state.terminal();
             let missing: Vec<usize> = job
                 .artifacts
                 .iter()
@@ -492,7 +448,7 @@ fn worker_main(shared: &Shared) {
                 }
                 if let Some((job_id, index)) = g.claim(shared.cfg.quantum) {
                     let job = g.jobs.get_mut(&job_id).expect("queued cells have jobs");
-                    job.phase = Phase::Running;
+                    job.state = JobState::Running;
                     let (w, kind) = {
                         let (w, kind) = job.spec.cell(&job.workloads, index);
                         (w.clone(), kind)
@@ -519,64 +475,48 @@ fn run_one(spec: &SuiteSpec, w: &Workload, kind: DramKind) -> Result<Artifact, S
 
 fn deliver(g: &mut Inner, job_id: &str, index: usize, result: Result<Artifact, SimError>) {
     g.stats.executed_cells += 1;
-    enum After {
-        Nothing,
-        Done(String),
-        Failed(String),
+    let Some(job) = g.jobs.get_mut(job_id) else { return };
+    if job.state.terminal() {
+        // Cancelled or failed while this cell ran: drop the result.
+        return;
     }
-    let after = {
-        let Some(job) = g.jobs.get_mut(job_id) else { return };
-        if job.phase.terminal() {
-            // Cancelled or failed while this cell ran: drop the result.
-            return;
-        }
-        match result {
-            Ok(artifact) => {
-                if let Some(w) = &mut job.writer {
-                    if let Err(e) = w.append_cell(index, &artifact) {
-                        eprintln!("fgdram-serve: checkpoint append failed for {job_id}: {e}");
-                    }
-                }
-                job.artifacts[index] = Some(artifact);
-                job.completed += 1;
-                if job.completed == job.total() {
-                    job.render_final();
-                    job.phase = Phase::Done;
-                    if let Some(w) = &mut job.writer {
-                        if let Err(e) = w.mark_done() {
-                            eprintln!(
-                                "fgdram-serve: checkpoint done marker failed for {job_id}: {e}"
-                            );
-                        }
-                    }
-                    After::Done(job.tenant.clone())
-                } else {
-                    After::Nothing
+    match result {
+        Ok(artifact) => {
+            if let Some(w) = &mut job.writer {
+                if let Err(e) = w.append_cell(index, &artifact) {
+                    eprintln!("fgdram-serve: checkpoint append failed for {job_id}: {e}");
                 }
             }
-            Err(e) => {
-                let err = JobError::from_serve(&ServeError::from(e));
-                if let Some(w) = &mut job.writer {
-                    let _ = w.mark_failed(&err.code, err.exit_code, &err.message);
-                }
-                job.phase = Phase::Failed;
-                job.error = Some(err);
-                After::Failed(job.tenant.clone())
+            job.artifacts[index] = Some(artifact);
+            job.completed += 1;
+            if job.completed < job.total() {
+                return;
             }
-        }
-    };
-    match after {
-        After::Nothing => {}
-        After::Done(tenant) => {
+            job.state = JobState::Done(job.render_final());
+            if let Some(w) = &mut job.writer {
+                if let Err(e) = w.mark_done() {
+                    eprintln!("fgdram-serve: checkpoint done marker failed for {job_id}: {e}");
+                }
+            }
             g.stats.done += 1;
-            release_tenant_slot(g, &tenant);
         }
-        After::Failed(tenant) => {
+        Err(e) => {
+            let err = WireError::from(&ServeError::from(e));
+            if let Some(w) = &mut job.writer {
+                let _ = w.mark_failed(&err);
+            }
+            job.state = JobState::Failed(err);
             g.stats.failed += 1;
-            g.drop_queued_cells(&tenant, job_id);
-            release_tenant_slot(g, &tenant);
         }
     }
+    // The job just reached a terminal state: its tenant gets the slot
+    // back, and a failed job's remaining cells must not run.
+    let failed = matches!(job.state, JobState::Failed(_));
+    let tenant = job.tenant.clone();
+    if failed {
+        g.drop_queued_cells(&tenant, job_id);
+    }
+    release_tenant_slot(g, &tenant);
 }
 
 fn release_tenant_slot(g: &mut Inner, tenant: &str) {
@@ -674,9 +614,7 @@ fn submit(
             workloads,
             artifacts: (0..total).map(|_| None).collect(),
             completed: 0,
-            phase: Phase::Queued,
-            error: None,
-            report: None,
+            state: JobState::Queued,
             writer: Some(writer),
         },
     );
@@ -697,13 +635,13 @@ fn cancel(shared: &Shared, job_id: &str) -> Result<String, ServeError> {
         let Some(job) = g.jobs.get_mut(job_id) else {
             return Err(ServeError::NotFound(format!("job {job_id}")));
         };
-        if job.phase.terminal() {
+        if job.state.terminal() {
             return Err(ServeError::BadRequest(format!(
                 "job {job_id} already {}",
-                job.phase.label()
+                job.state.label()
             )));
         }
-        job.phase = Phase::Canceled;
+        job.state = JobState::Canceled;
         if let Some(w) = &mut job.writer {
             let _ = w.mark_canceled();
         }
@@ -725,7 +663,7 @@ fn status_json(g: &Inner, job_id: &str) -> Result<String, ServeError> {
         "{{\"job\":\"{job_id}\",\"tenant\":\"{}\",\"state\":\"{}\",\"cells\":{},\
          \"completed\":{},\"cost\":{}}}\n",
         job.tenant,
-        job.phase.label(),
+        job.state.label(),
         job.total(),
         job.completed,
         job.spec.cost()
@@ -739,10 +677,10 @@ fn stats_json(shared: &Shared, g: &Inner) -> String {
         if i > 0 {
             tenants.push(',');
         }
-        let mut esc = String::new();
-        json_escape_into(&mut esc, name);
+        tenants.push('"');
+        json::escape_into(&mut tenants, name);
         tenants.push_str(&format!(
-            "\"{esc}\":{{\"queued_cells\":{},\"inflight_jobs\":{},\"deficit\":{}}}",
+            "\":{{\"queued_cells\":{},\"inflight_jobs\":{},\"deficit\":{}}}",
             t.queue.len(),
             t.inflight_jobs,
             t.deficit
@@ -780,35 +718,21 @@ fn stats_json(shared: &Shared, g: &Inner) -> String {
     )
 }
 
-/// What the report long-poll resolved to.
-enum ReportOutcome {
-    Text(String),
-    Error(u16, String),
-}
-
-fn wait_report(shared: &Shared, job_id: &str) -> ReportOutcome {
+/// Long-polls the job to a terminal state: its report text, or the
+/// error the report request is answered with.
+fn wait_report(shared: &Shared, job_id: &str) -> Result<String, WireError> {
     let mut g = shared.m.lock().expect("state lock");
     loop {
         let Some(job) = g.jobs.get(job_id) else {
-            let e = ServeError::NotFound(format!("job {job_id}"));
-            return ReportOutcome::Error(e.http_status(), e.json_body());
+            return Err(WireError::from(&ServeError::NotFound(format!("job {job_id}"))));
         };
-        match job.phase {
-            Phase::Done => {
-                return ReportOutcome::Text(job.report.clone().expect("done jobs have reports"))
-            }
-            Phase::Failed => {
-                let e = job.error.clone().expect("failed jobs carry their error");
-                return ReportOutcome::Error(e.http_status(), e.json_body());
-            }
-            Phase::Canceled => {
-                let e = ServeError::Canceled;
-                return ReportOutcome::Error(e.http_status(), e.json_body());
-            }
-            Phase::Queued | Phase::Running => {
+        match &job.state {
+            JobState::Done(report) => return Ok(report.clone()),
+            JobState::Failed(e) => return Err(e.clone()),
+            JobState::Canceled => return Err(WireError::from(&ServeError::Canceled)),
+            JobState::Queued | JobState::Running => {
                 if g.shutdown {
-                    let e = ServeError::ShuttingDown;
-                    return ReportOutcome::Error(e.http_status(), e.json_body());
+                    return Err(WireError::from(&ServeError::ShuttingDown));
                 }
             }
         }
@@ -838,7 +762,7 @@ fn stream_telemetry<W: Write>(shared: &Shared, job_id: &str, w: &mut W) -> io::R
                 if let Some(a) = &job.artifacts[index] {
                     break Some(a.jsonl.clone());
                 }
-                if job.phase.terminal() || g.shutdown {
+                if job.state.terminal() || g.shutdown {
                     break None;
                 }
                 g = shared.cv.wait_timeout(g, WAIT_TICK).expect("state lock").0;
@@ -965,10 +889,13 @@ fn route<W: Write>(shared: &Shared, req: &Request, w: &mut W) -> io::Result<()> 
                     }
                 }
                 ("GET", Some("report")) => match wait_report(shared, id) {
-                    ReportOutcome::Text(t) => write_response(w, 200, "text/plain", t.as_bytes()),
-                    ReportOutcome::Error(status, body) => {
-                        write_response(w, status, "application/json", body.as_bytes())
-                    }
+                    Ok(text) => write_response(w, 200, "text/plain", text.as_bytes()),
+                    Err(e) => write_response(
+                        w,
+                        e.http_status(),
+                        "application/json",
+                        e.json_body().as_bytes(),
+                    ),
                 },
                 ("GET", Some("telemetry")) => stream_telemetry(shared, id, w),
                 ("DELETE", None) => match cancel(shared, id) {
@@ -1157,6 +1084,50 @@ mod tests {
         server2.shutdown();
         h2.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(spool_dir);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn failed_job_reports_the_same_error_live_and_after_a_restart() {
+        let (cfg, dir) = test_cfg(1, "failed");
+        let (server, addr, h) = start(cfg.clone());
+        let r =
+            http::request(&addr, "POST", "/jobs", &[], small_spec(1, 20_000).as_bytes()).unwrap();
+        assert_eq!(r.status, 201);
+        // No spec field makes a healthy cell fail, so hand the scheduler
+        // the failure a worker would have delivered for cell 1.
+        let stall = SimError::Stall { at: 9, pending: 2, idle_ns: 7, bound: 5 };
+        deliver(&mut server.shared.m.lock().unwrap(), "j1", 1, Err(stall));
+        let fetch = |addr: &str| {
+            let r = http::request(addr, "GET", "/jobs/j1/report", &[], b"").unwrap();
+            (r.status, String::from_utf8(r.into_body().unwrap()).unwrap())
+        };
+        let live = fetch(&addr);
+        assert_eq!(
+            live,
+            (
+                500,
+                "{\"error\":{\"code\":\"stall\",\"exit_code\":5,\"message\":\"no forward \
+                 progress for 7 ns at t=9 ns (2 items outstanding; watchdog bound 5 ns)\"}}\n"
+                    .to_string()
+            )
+        );
+        let status = http::request(&addr, "GET", "/jobs/j1", &[], b"").unwrap();
+        let status = String::from_utf8(status.into_body().unwrap()).unwrap();
+        assert!(status.contains("\"state\":\"failed\""), "{status}");
+        {
+            let g = server.shared.m.lock().unwrap();
+            assert_eq!((g.stats.failed, g.queued_cells), (1, 0), "queued cells dropped");
+            assert_eq!(g.tenants["anon"].inflight_jobs, 0, "tenant slot released");
+        }
+        server.shutdown();
+        h.join().unwrap().unwrap();
+        drop(server);
+        // The spooled `failed` marker replays to the same response bytes.
+        let (server2, addr2, h2) = start(cfg);
+        assert_eq!(fetch(&addr2), live);
+        server2.shutdown();
+        h2.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -50,6 +50,7 @@ use fgdram_model::config::DramKind;
 use fgdram_model::units::{GbPerSec, Picojoules, PjPerBit};
 
 use crate::chaos::{Chaos, DiskPlan};
+use crate::error::WireError;
 use crate::spec;
 
 const MAGIC: &str = "fgdram-serve-ckpt-v2";
@@ -71,15 +72,8 @@ pub enum SpoolStatus {
     InProgress,
     /// All cells completed.
     Done,
-    /// A cell failed; the typed code and message are preserved.
-    Failed {
-        /// The stable error code string (e.g. `stall`).
-        code: String,
-        /// The client exit code.
-        exit_code: u8,
-        /// Human-readable message.
-        message: String,
-    },
+    /// A cell failed; the typed code, exit code and message are preserved.
+    Failed(WireError),
     /// The job was cancelled.
     Canceled,
 }
@@ -285,8 +279,8 @@ impl CkptWriter {
     /// # Errors
     ///
     /// Propagates file I/O failures.
-    pub fn mark_failed(&mut self, code: &str, exit_code: u8, message: &str) -> io::Result<()> {
-        self.append_marker(&format!("failed {code} {exit_code} {}", esc(message)))
+    pub fn mark_failed(&mut self, e: &WireError) -> io::Result<()> {
+        self.append_marker(&format!("failed {} {} {}", e.code, e.exit_code, esc(&e.message)))
     }
 
     /// Appends the terminal marker for a cancelled job.
@@ -450,7 +444,7 @@ fn parse_ckpt(s: &str) -> Result<LoadedJob, String> {
             let code = it.next().unwrap_or("internal").to_string();
             let exit_code = it.next().and_then(|v| v.parse().ok()).unwrap_or(1);
             let message = unesc(it.next().unwrap_or(""));
-            status = SpoolStatus::Failed { code, exit_code, message };
+            status = SpoolStatus::Failed(WireError { code, exit_code, message });
             i += 1;
         } else {
             // Orphan garbage (e.g. the tail of a short write): one skip,
@@ -701,17 +695,15 @@ mod tests {
         // A marker appended after the garbage is still honoured: the
         // loader resyncs past the truncated record instead of giving up.
         let mut w = spool.reopen("j7").expect("reopen");
-        w.mark_failed("stall", 5, "no forward progress at t=9").expect("failed marker");
+        let stall = WireError {
+            code: "stall".into(),
+            exit_code: 5,
+            message: "no forward progress at t=9".into(),
+        };
+        w.mark_failed(&stall).expect("failed marker");
         drop(w);
         let jobs = spool.load_all();
-        assert_eq!(
-            jobs[0].status,
-            SpoolStatus::Failed {
-                code: "stall".into(),
-                exit_code: 5,
-                message: "no forward progress at t=9".into()
-            }
-        );
+        assert_eq!(jobs[0].status, SpoolStatus::Failed(stall));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -724,7 +716,8 @@ mod tests {
         w.append_cell(1, &Artifact { report: sample_report(1), jsonl: None }).unwrap();
         w.mark_done().unwrap();
         let mut w = spool.create("j2", "a", None, &spec).unwrap();
-        w.mark_failed("protocol", 4, "boom boom").unwrap();
+        let boom = WireError { code: "protocol".into(), exit_code: 4, message: "boom boom".into() };
+        w.mark_failed(&boom).unwrap();
         let mut w = spool.create("j3", "a", None, &spec).unwrap();
         w.mark_canceled().unwrap();
         let jobs = spool.load_all();
@@ -733,16 +726,56 @@ mod tests {
         assert_eq!(jobs[0].key.as_deref(), Some("order%66 retry"), "idempotency key survives");
         assert_eq!(jobs[0].skipped_records, 0);
         assert_eq!(jobs[0].duplicate_records, 0);
-        assert_eq!(
-            jobs[1].status,
-            SpoolStatus::Failed {
-                code: "protocol".into(),
-                exit_code: 4,
-                message: "boom boom".into()
-            }
-        );
+        assert_eq!(jobs[1].status, SpoolStatus::Failed(boom));
         assert_eq!(jobs[1].key, None);
         assert_eq!(jobs[2].status, SpoolStatus::Canceled);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v2_fixture_loads_and_is_rewritten_byte_for_byte() {
+        // The on-disk grammar is frozen: spools written by any v2 daemon
+        // must keep loading, so this literal (CRC included) is pinned in
+        // both directions.
+        const V2: &str = "fgdram-serve-ckpt-v2\n\
+            id j9\n\
+            tenant ten%20ant\n\
+            key k%201\n\
+            spec suite=compute;warmup=100;window=400;max_workloads=2\n\
+            \n\
+            cell 1\n\
+            report workload=GUPS kind=FGDRAM window_ns=30000 retired=12346 read_atoms=99 \
+            write_atoms=42 activates=17 refreshes=3 bandwidth=405ee3a26e547171 \
+            utilisation=3fbf9add37c11162 row_hit_rate=3fd5555555555555 \
+            l2_hit_rate=3fd2492492492492 avg_read_latency_ns=3ff19fbe76c8b439 \
+            p95_read_latency_ns=512 channel_imbalance_cv=3f201f31f46ed246 \
+            e_act=3fd5555555555555 e_mv=0010000000000000 e_io=7e37e43c8800759c \
+            eb_act=3fb999999999999a eb_mv=3fc999999999999a eb_io=3fd3333333333333\n\
+            jsonl 1\n\
+            {\"x\":1}\n\
+            end 1 b3f44297\n\
+            \n\
+            failed stall 5 some%20message\n";
+        let j = parse_ckpt(V2).expect("a v2 file parses");
+        assert_eq!(
+            (j.id.as_str(), j.tenant.as_str(), j.key.as_deref()),
+            ("j9", "ten ant", Some("k 1"))
+        );
+        assert_eq!(j.spec, test_spec());
+        assert_eq!((j.skipped_records, j.duplicate_records), (0, 0), "the CRC still matches");
+        let cell = j.cells[1].as_ref().expect("cell 1 restored");
+        assert_eq!(format!("{:?}", cell.report), format!("{:?}", sample_report(1)));
+        assert_eq!(cell.jsonl.as_deref(), Some("{\"x\":1}\n"));
+        let stall =
+            WireError { code: "stall".into(), exit_code: 5, message: "some message".into() };
+        assert_eq!(j.status, SpoolStatus::Failed(stall.clone()));
+        // The writer half: the same job spooled again is the same bytes.
+        let (dir, spool) = tmp_spool("v2fixture");
+        let mut w = spool.create("j9", "ten ant", Some("k 1"), &test_spec()).unwrap();
+        w.append_cell(1, cell).unwrap();
+        w.mark_failed(&stall).unwrap();
+        drop(w);
+        assert_eq!(std::fs::read_to_string(dir.join("j9.ckpt")).unwrap(), V2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,35 +6,14 @@
 
 use crate::record::{EpochRecord, FieldValue, HistSummary};
 use crate::recorder::Telemetry;
+use fgdram_model::json;
 use std::io::{self, Write};
 
-/// Appends `s` JSON-escaped (quotes, backslash, control chars) to `out`.
+/// Appends `s` as a quoted JSON string.
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json::escape_into(out, s);
     out.push('"');
-}
-
-/// Appends an f64 as a JSON number; non-finite values become `null`
-/// (JSON has no NaN/Infinity).
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Display is shortest-roundtrip but prints integral floats bare
-        // ("2"); keep them valid JSON numbers as-is — readers accept both.
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
 }
 
 fn push_hist(out: &mut String, h: &HistSummary) {
@@ -44,7 +23,7 @@ fn push_hist(out: &mut String, h: &HistSummary) {
 fn push_field_value(out: &mut String, v: &FieldValue) {
     match v {
         FieldValue::U64(u) => out.push_str(&u.to_string()),
-        FieldValue::F64(f) => push_json_f64(out, *f),
+        FieldValue::F64(f) => json::push_f64(out, *f),
         FieldValue::Array(a) => {
             out.push('[');
             for (i, x) in a.iter().enumerate() {
@@ -241,15 +220,14 @@ mod tests {
 
     #[test]
     fn json_escapes_and_non_finite() {
-        let mut s = String::new();
-        push_json_str(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
-        let mut f = String::new();
-        push_json_f64(&mut f, f64::NAN);
-        assert_eq!(f, "null");
-        let mut g = String::new();
-        push_json_f64(&mut g, 2.0);
-        assert_eq!(g, "2");
+        let mut t = sample_series();
+        t.records[0].components[0].fields = vec![("nan", FieldValue::F64(f64::NAN))];
+        let s = to_jsonl_string(&[("workload", "a\"b\\c\nd\u{1}")], &t);
+        assert_eq!(
+            s,
+            "{\"workload\":\"a\\\"b\\\\c\\nd\\u0001\",\"epoch\":0,\"start_ns\":0,\
+             \"end_ns\":1000,\"ctrl\":{\"nan\":null}}\n"
+        );
     }
 
     #[test]

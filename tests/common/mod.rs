@@ -1,9 +1,9 @@
 //! Shared integration-test helpers.
 //!
 //! A tiny recursive-descent JSON validator, so schema tests can prove the
-//! hand-rolled exporters emit *valid* JSON without pulling a dependency
-//! (both the compact telemetry JSONL and the pretty-printed
-//! `perf-snapshot` output, so it skips insignificant whitespace).
+//! hand-rolled writers emit *valid* JSON without pulling a dependency
+//! (telemetry JSONL lines and the daemon's newline-terminated response
+//! bodies, so it skips insignificant whitespace).
 //! (Each integration-test binary compiles its own copy; helpers unused by
 //! a given binary are expected.)
 

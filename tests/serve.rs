@@ -4,10 +4,14 @@
 //! `fgdram_sim suite` CLI at any worker count, and a `kill -9`'d daemon
 //! resumes from its spool without recomputing finished cells.
 
+mod common;
+
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use common::Json;
 
 /// The job spec used throughout: small enough to finish in seconds,
 /// large enough (3 workloads = 6 cells) for a mid-job kill to land.
@@ -210,6 +214,96 @@ fn kill_dash_nine_then_restart_resumes_without_recompute() {
     let _ = std::fs::remove_dir_all(spool);
 }
 
+/// One raw exchange with the daemon: `(status, body)`, the body checked
+/// to be exactly one JSON value.
+fn json_exchange(
+    addr: &str,
+    method: &str,
+    path: &str,
+    headers: &[(&str, &str)],
+    body: &str,
+) -> (u16, String) {
+    let resp = fgdram_serve::http::request(addr, method, path, headers, body.as_bytes())
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+    let status = resp.status;
+    let body = String::from_utf8(resp.into_body().expect("response body")).expect("UTF-8 body");
+    Json::validate(&body).unwrap_or_else(|e| panic!("{method} {path} -> {status}: {e}: {body}"));
+    (status, body)
+}
+
+/// Every JSON body the daemon can emit is hand-assembled; each must be
+/// exactly one valid JSON value, whatever text ends up inside it.
+#[test]
+fn every_json_body_the_daemon_emits_is_valid_json() {
+    let spool = tmp_dir("jsonbodies");
+    // A job that failed under an earlier daemon, as `mark_failed` spools
+    // it, with a message that needs every kind of escaping. (No spec
+    // field makes a healthy cell fail, so a failure produced by a live
+    // worker is driven in-crate, by `crates/serve`'s
+    // `failed_job_reports_the_same_error_live_and_after_a_restart`.)
+    std::fs::write(
+        spool.join("j1.ckpt"),
+        "fgdram-serve-ckpt-v2\nid j1\ntenant anon\n\
+         spec suite=compute;warmup=2000;window=6000;max_workloads=1\n\
+         \nfailed stall 5 no%20progress:%20\"q\"%20\\%20%09tab%01\n",
+    )
+    .expect("plant spool file");
+    // Disk-only chaos: the wire stays faithful, but the engine is live,
+    // so /stats carries its nested `chaos` object.
+    let flags = ["--workers", "1", "--chaos", "ckpt-corrupt=1", "--chaos-seed", "3"];
+    let daemon = Daemon::start(&spool, &flags);
+    let addr = daemon.addr.as_str();
+
+    let (status, failed) = json_exchange(addr, "GET", "/jobs/j1/report", &[], "");
+    assert_eq!(status, 500);
+    assert_eq!(
+        failed,
+        "{\"error\":{\"code\":\"stall\",\"exit_code\":5,\
+         \"message\":\"no progress: \\\"q\\\" \\\\ \\ttab\\u0001\"}}\n"
+    );
+
+    // Cells long enough (~0.5 s each) that the cancel lands mid-job.
+    let spec = "suite=compute\nwarmup=2000\nwindow=50000\nmax_workloads=3\n";
+    let key = [("X-Job-Key", "k \"1\"")];
+    let (status, body) = json_exchange(addr, "POST", "/jobs", &key, spec);
+    assert_eq!(status, 201);
+    assert_eq!(body, "{\"job\":\"j2\",\"cells\":6,\"cost\":312000}\n");
+    let (status, body) = json_exchange(addr, "POST", "/jobs", &key, spec);
+    assert_eq!(status, 200);
+    assert_eq!(body, "{\"job\":\"j2\",\"cells\":6,\"cost\":312000,\"deduped\":true}\n");
+    let (status, body) = json_exchange(addr, "GET", "/jobs/j2", &[], "");
+    assert_eq!(status, 200);
+    assert!(body.starts_with("{\"job\":\"j2\",\"tenant\":\"anon\",\"state\":\""), "{body}");
+    let (status, body) = json_exchange(addr, "DELETE", "/jobs/j2", &[], "");
+    assert_eq!(status, 200);
+    assert_eq!(body, "{\"job\":\"j2\",\"state\":\"canceled\"}\n");
+    let (status, body) = json_exchange(addr, "GET", "/jobs/j2/report", &[], "");
+    assert_eq!(status, 409);
+    assert!(body.contains("\"code\":\"canceled\",\"exit_code\":10"), "{body}");
+
+    // Rejects: the offending text is echoed into the message.
+    let (status, body) = json_exchange(addr, "POST", "/jobs", &[], "suite=\"x\\y\"\t\n");
+    assert_eq!(status, 400);
+    assert!(body.contains("\"code\":\"bad-request\""), "{body}");
+    let (status, _) = json_exchange(addr, "DELETE", "/jobs/j2", &[], "");
+    assert_eq!(status, 400, "already cancelled");
+    let (status, _) = json_exchange(addr, "GET", "/jobs/j\"9", &[], "");
+    assert_eq!(status, 404);
+
+    let (status, stats) = json_exchange(addr, "GET", "/stats", &[], "");
+    assert_eq!(status, 200);
+    assert!(stats.contains("\"chaos\":{\"wire\":{"), "{stats}");
+    assert!(stats.contains("\"tenants\":{\"anon\":{"), "{stats}");
+
+    // A restart replays the failed job from the spool: same bytes.
+    drop(daemon);
+    let daemon = Daemon::start(&spool, &flags);
+    let (status, replayed) = json_exchange(&daemon.addr, "GET", "/jobs/j1/report", &[], "");
+    assert_eq!((status, replayed), (500, failed));
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(spool);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos hardening: seeded fuzz, wire/disk fault injection, graceful drain.
 // ---------------------------------------------------------------------------
@@ -302,11 +396,15 @@ fn daemon_survives_malformed_requests_over_the_wire() {
                 "iteration {i}: non-HTTP response: {:?}",
                 String::from_utf8_lossy(&resp[..resp.len().min(80)])
             );
-            let status: u16 = String::from_utf8_lossy(&resp[9..12]).parse().unwrap_or(0);
-            assert!(
-                (400..500).contains(&status),
-                "iteration {i}: malformed input answered {status}"
-            );
+            // The daemon closes with request bytes unread, so a reset can
+            // cut the response short; only a whole status line is judged.
+            if let Some(code) = resp.get(9..12) {
+                let status: u16 = String::from_utf8_lossy(code).parse().unwrap_or(0);
+                assert!(
+                    (400..500).contains(&status),
+                    "iteration {i}: malformed input answered {status}"
+                );
+            }
         }
     }
     // The daemon must still be healthy after the whole corpus.
