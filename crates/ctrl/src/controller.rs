@@ -53,7 +53,8 @@ pub struct Controller {
     /// `(t, ch)` order, but push/pop are O(1) instead of a heap sift.
     /// Wheel invariant `t >= base` holds because every pushed time is
     /// `>= now` (`enqueue` clamps `next_try` no lower than `now`, passes
-    /// set `next_try > now`) and `base` never passes the minimum entry.
+    /// and re-arms set `next_try > now`) and `base` never passes the
+    /// minimum entry.
     due: EventWheel<u32>,
     /// Channels due this tick, ascending and deduped (reusable scratch).
     due_scratch: Vec<u32>,
@@ -150,8 +151,7 @@ impl Controller {
 
     #[inline]
     fn effective_next(&self, ch: u32) -> Ns {
-        let s = &self.scheds[ch as usize];
-        s.next_try.max(s.stalled_until)
+        self.scheds[ch as usize].due_at()
     }
 
     /// The controller's address mapping.
@@ -281,7 +281,7 @@ impl Controller {
         self.due_scratch.clear();
         self.drain_scratch.clear();
         // Bulk drain: a GUPS-like workload keeps every grain busy, which
-        // parks hundreds of wake entries on the *same* nanosecond — a
+        // parks dozens of wake entries on the *same* nanosecond — a
         // per-entry `pop_due` loop re-scans that slot chain on every pop
         // (O(k^2) per tick). The unordered drain unlinks each chain once;
         // the stale filter is order-independent and the bitmap walk below
@@ -308,6 +308,11 @@ impl Controller {
     /// channel order), appending data completions to `out`. Returns the
     /// earliest time any channel next needs attention.
     ///
+    /// A due channel whose pass would issue nothing is re-armed at the
+    /// wake that pass would compute, without running it
+    /// ([`ChannelSched::rearm`]; the module docs of `scheduler` give the
+    /// argument). Debug builds run the pass anyway and check both claims.
+    ///
     /// # Errors
     ///
     /// A [`ProtocolError`] here means the scheduler issued an illegal
@@ -321,22 +326,34 @@ impl Controller {
         self.collect_due(now);
         for i in 0..self.due_scratch.len() {
             let ch = self.due_scratch[i];
-            let done = out.len();
-            let res = self.scheds[ch as usize].pass(dev, now, &mut self.stats, out);
-            // Every completion is exactly one request leaving a queue.
-            self.total_pending -= out.len() - done;
-            res?;
+            let sched = &mut self.scheds[ch as usize];
+            if let Some(t) = sched.rearm(dev, now) {
+                #[cfg(debug_assertions)]
+                {
+                    let mut scratch = CtrlStats::new();
+                    let mut issued = Vec::new();
+                    sched.pass(dev, now, &mut scratch, &mut issued)?;
+                    assert_eq!(
+                        (scratch.commands(), scratch.drain_entries.get(), sched.next_try),
+                        (0, 0, t),
+                        "channel {ch} at {now}: the skipped pass was not a no-op with this wake"
+                    );
+                }
+                sched.next_try = t;
+                self.stats.rearmed.incr();
+            } else {
+                let done = out.len();
+                let res = sched.pass(dev, now, &mut self.stats, out);
+                // Every completion is exactly one request leaving a queue.
+                self.total_pending -= out.len() - done;
+                res?;
+            }
             self.due.push(self.effective_next(ch), ch);
         }
-        // Lazily clean stale wheel tops: a valid top goes straight back
-        // (`pop_min` leaves `base` at its time).
-        loop {
-            let Some((t, ch)) = self.due.pop_min() else { return Ok(Ns::MAX) };
-            if t == self.effective_next(ch) {
-                self.due.push(t, ch);
-                return Ok(t);
-            }
-        }
+        // Stale entries at the front are dropped; valid ones stay put.
+        let scheds = &self.scheds;
+        let next = self.due.first_valid_time(|t, ch| t == scheds[ch as usize].due_at());
+        Ok(next.unwrap_or(Ns::MAX))
     }
 }
 

@@ -6,6 +6,51 @@
 //! conflict-triggered and idle-timeout precharges, opportunistic
 //! auto-precharge when no queued request can reuse the open row, and the
 //! FGDRAM-specific subarray-conflict avoidance of Section 3.3.
+//!
+//! # Skipping a pass
+//!
+//! [`ChannelSched::pass`] runs only when it could issue. When a channel
+//! comes due, [`ChannelSched::rearm`] first decides in constant time
+//! (per marked bank) whether the pass would issue nothing, and if so
+//! returns the wake that pass would have computed. Three facts make that
+//! exact rather than a heuristic:
+//!
+//! - **A pass that issues nothing changes nothing.** `drain_overflow`
+//!   moves nothing between issues (room only appears when a command
+//!   leaves a queue, and the pass that issued it drained the overflow
+//!   afterwards); the drain hysteresis only flips when the write count
+//!   crosses a watermark, which between passes only an arrival can do,
+//!   and such an arrival is a *hard* poke; `HitCache` is a cache.
+//! - **Its wake is a function of what it last saw and the shared command
+//!   buses.** Every `earliest` is `max(own fences, at, bus busy-until)`.
+//!   A channel's own fences only move when it issues, and a bus's
+//!   busy-until only grows, so each [`Sleep`](Step::Sleep) records its
+//!   wake split three ways ([`Wake`]): `row`, the earliest
+//!   activate/precharge/refresh, already including the row bus; `col`,
+//!   the earliest column by the channel's own fences (the hint); `other`,
+//!   everything else (refresh due, idle deadline, `conflict_fence`, the
+//!   `now + 1` clamps). A pass at a later `now` would compute exactly
+//!   [`Wake::at`]: `min(other, max(row, row_bus_free), col if col > now
+//!   else col_bus_free)` — a hint not yet reached is kept, a reached one
+//!   waits for the column bus. If that is still past `now`, nothing is
+//!   issuable and the channel sleeps on without a pass.
+//! - **Arrivals are triaged.** [`ChannelSched::enqueue`] records what an
+//!   arrival could change. One that goes to the overflow queue or lands
+//!   at queue position `>= reorder_window` is invisible to every probe
+//!   until an issue (inside a pass) frees room, and sets nothing. One
+//!   that becomes a queue front or flips the drain hysteresis is *hard*:
+//!   the pass runs. Any other in-window arrival marks its
+//!   `(bank, direction)`, and `rearm` ignores the marks when every marked
+//!   bank either has one open row with an older hit on it
+//!   (`HitCache::Known(Some(_))`: the arrival cannot become the
+//!   candidate, and `row_has_pending` was already true) or has no hit in
+//!   its window at all (the arrival is no hit either).
+//!
+//! Every arrival still makes its channel due (as before), so a skipped
+//! pass is replaced by its exact result and the controller's wake
+//! sequence — observable through the GPU issue batcher — is unchanged.
+//! Debug builds re-run every skipped pass and assert it issued nothing
+//! and computed the same wake (`Controller::tick`).
 
 use std::collections::VecDeque;
 
@@ -91,11 +136,45 @@ enum HitCache {
 pub(crate) enum Step {
     /// A command was issued (with the data completion for columns).
     Issued(Option<Completion>),
-    /// Nothing issuable before this time.
-    Sleep(Ns),
+    /// Nothing issuable before [`Wake::at`].
+    Sleep(Wake),
 }
 
 const FAR_FUTURE: Ns = Ns::MAX / 4;
+
+/// A sleeping channel's wake, split by what gates it (see the module
+/// docs): enough to recompute, at a later `now`, the wake a pass would.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wake {
+    /// Earliest activate / precharge / refresh, row bus included.
+    row: Ns,
+    /// Earliest column command by the channel's own fences (the hint,
+    /// clamped to the pass's `now`), before the column bus.
+    col: Ns,
+    /// Everything the buses do not gate.
+    other: Ns,
+}
+
+impl Wake {
+    /// Nothing to wait for.
+    const NEVER: Wake = Wake { row: FAR_FUTURE, col: FAR_FUTURE, other: FAR_FUTURE };
+
+    fn fold_row(&mut self, t: Ns) {
+        self.row = self.row.min(t);
+    }
+
+    fn fold_other(&mut self, t: Ns) {
+        self.other = self.other.min(t);
+    }
+
+    /// The wake a pass at `now` would compute, given the channel's
+    /// command buses' busy-until — or a time `<= now` when that pass
+    /// might issue. Exact while the channel has issued nothing since.
+    fn at(&self, now: Ns, row_bus_free: Ns, col_bus_free: Ns) -> Ns {
+        let col = if self.col > now { self.col } else { col_bus_free };
+        self.other.min(self.row.max(row_bus_free)).min(col)
+    }
+}
 
 /// Upper bound on commands one channel may issue within a single tick
 /// (defensive cap; normal operation issues a handful).
@@ -133,6 +212,15 @@ pub(crate) struct ChannelSched {
     /// Scratch for `step_refresh`'s open-row list (row, slice).
     refresh_scratch: Vec<(u32, u32)>,
     pub next_try: Ns,
+    /// What the last pass's wake was made of (`next_try` is its
+    /// [`Wake::at`] then).
+    wake: Wake,
+    /// An arrival since the last pass that forces the next one (see
+    /// `enqueue`).
+    poke_hard: bool,
+    /// One bit per `(bank, direction)`, `2 * bank + is_write`, with an
+    /// in-window arrival since the last pass.
+    poke_marks: u64,
     /// Fault-injected stall fence: the channel issues nothing before this
     /// time. Kept separate from `next_try` because `enqueue` pulls
     /// `next_try` forward on every arrival, which must not cancel a stall.
@@ -204,8 +292,18 @@ impl ChannelSched {
             fronts_scratch: Vec::with_capacity(banks),
             refresh_scratch: Vec::with_capacity(open_slots_per_bank),
             next_try: 0,
+            // Never passed: due at once.
+            wake: Wake { other: 0, ..Wake::NEVER },
+            poke_hard: false,
+            poke_marks: 0,
             stalled_until: 0,
         }
+    }
+
+    /// When the channel next needs a tick: its wake, held off by a stall.
+    #[inline]
+    pub fn due_at(&self) -> Ns {
+        self.next_try.max(self.stalled_until)
     }
 
     pub fn pending(&self) -> usize {
@@ -241,14 +339,23 @@ impl ChannelSched {
             self.reads < self.cfg.read_queue_depth
         };
         if room && self.overflow.is_empty() {
-            self.enqueue_direct(p);
+            let pos = self.enqueue_direct(p);
+            // Overflow and beyond-window arrivals mark nothing: no probe
+            // reads them before an issue frees room.
+            let mark = 2 * p.bank as u32 + p.is_write as u32;
+            if pos == 0 || self.drain_flips() || mark >= u64::BITS {
+                self.poke_hard = true;
+            } else if pos < self.cfg.reorder_window.max(1) {
+                self.poke_marks |= 1 << mark;
+            }
         } else {
             self.overflow.push_back(p);
         }
         self.next_try = self.next_try.min(now);
     }
 
-    fn enqueue_direct(&mut self, p: Pending) {
+    /// Queues `p` and returns its position in its (bank, direction) queue.
+    fn enqueue_direct(&mut self, p: Pending) -> usize {
         let bank = p.bank as usize;
         let dir = p.is_write as usize;
         let len_before = if p.is_write {
@@ -267,6 +374,56 @@ impl ChannelSched {
         {
             self.hit_cache[bank][dir] = HitCache::Unknown;
         }
+        len_before
+    }
+
+    /// Whether the next `step` flips the write-drain hysteresis.
+    fn drain_flips(&self) -> bool {
+        if self.draining {
+            self.writes <= self.cfg.write_low_watermark
+        } else {
+            self.writes >= self.cfg.write_high_watermark
+        }
+    }
+
+    /// The wake a pass at `now` would leave, when that pass would issue
+    /// nothing (see the module docs); `None` when the pass must run.
+    /// Arrival marks it finds invisible are cleared.
+    pub fn rearm(&mut self, dev: &DramDevice, now: Ns) -> Option<Ns> {
+        if self.poke_hard || !self.marks_invisible(dev) {
+            return None;
+        }
+        self.poke_marks = 0;
+        let ch = self.channel;
+        let t = self.wake.at(now, dev.row_bus_free(ch), dev.col_bus_free(ch));
+        (t > now).then_some(t)
+    }
+
+    /// Whether no marked arrival can change what a pass sees: each marked
+    /// bank has one open row and an older hit in that direction, or no
+    /// hit in that direction's window.
+    fn marks_invisible(&mut self, dev: &DramDevice) -> bool {
+        let mut marks = self.poke_marks;
+        while marks != 0 {
+            let mark = marks.trailing_zeros() as usize;
+            marks &= marks - 1;
+            let (bank, dir) = (mark / 2, mark % 2);
+            let visible = match self.hit_cache[bank][dir] {
+                HitCache::Known(Some(_)) => {
+                    dev.channel(self.channel).bank(bank as u32).open_rows().nth(1).is_some()
+                }
+                HitCache::Known(None) => false,
+                HitCache::Unknown => {
+                    let hit = self.scan_first_hit(dev.channel(self.channel), bank, dir == 1);
+                    self.hit_cache[bank][dir] = HitCache::Known(hit);
+                    hit.is_some()
+                }
+            };
+            if visible {
+                return false;
+            }
+        }
+        true
     }
 
     /// Moves overflow arrivals into the scheduler queues as room appears.
@@ -368,16 +525,27 @@ impl ChannelSched {
         stats: &mut CtrlStats,
         out: &mut Vec<Completion>,
     ) -> Result<(), ProtocolError> {
+        self.poke_hard = false;
+        self.poke_marks = 0;
+        stats.passes.incr();
+        let commands = stats.commands();
         for _ in 0..MAX_STEPS_PER_TICK {
             match self.step(dev, now, stats)? {
                 Step::Issued(Some(c)) => out.push(c),
                 Step::Issued(None) => {}
-                Step::Sleep(t) => {
-                    self.next_try = t.max(now + 1);
+                Step::Sleep(wake) => {
+                    if stats.commands() == commands {
+                        stats.idle_passes.incr();
+                    }
+                    let ch = self.channel;
+                    self.wake = wake;
+                    self.next_try =
+                        wake.at(now, dev.row_bus_free(ch), dev.col_bus_free(ch)).max(now + 1);
                     return Ok(());
                 }
             }
         }
+        self.wake = Wake { other: now + 1, ..Wake::NEVER };
         self.next_try = now + 1;
         Ok(())
     }
@@ -391,14 +559,17 @@ impl ChannelSched {
     ) -> Result<Step, ProtocolError> {
         self.drain_overflow();
         let refresh_due = self.cfg.refresh_enabled && now >= self.refresh_due;
-        let mut wake = if self.cfg.refresh_enabled { self.refresh_due } else { FAR_FUTURE };
+        let mut wake = Wake::NEVER;
+        if self.cfg.refresh_enabled {
+            wake.fold_other(self.refresh_due);
+        }
 
         // Write drain hysteresis.
-        if !self.draining && self.writes >= self.cfg.write_high_watermark {
-            self.draining = true;
-            stats.drain_entries.incr();
-        } else if self.draining && self.writes <= self.cfg.write_low_watermark {
-            self.draining = false;
+        if self.drain_flips() {
+            self.draining = !self.draining;
+            if self.draining {
+                stats.drain_entries.incr();
+            }
         }
         let use_writes = self.draining || self.reads == 0;
 
@@ -420,8 +591,8 @@ impl ChannelSched {
             return self.step_refresh(dev, now, stats, wake);
         }
         // Pass 3: close rows idle past the timeout.
-        let wake = self.maybe_idle_close(dev, now, stats, wake)?;
-        Ok(Step::Sleep(wake.max(now + 1)))
+        self.maybe_idle_close(dev, now, stats, &mut wake)?;
+        Ok(Step::Sleep(wake))
     }
 
     /// Quiesce-and-refresh: close open rows as their fences pass, then
@@ -436,7 +607,7 @@ impl ChannelSched {
         dev: &mut DramDevice,
         now: Ns,
         stats: &mut CtrlStats,
-        mut wake: Ns,
+        mut wake: Wake,
     ) -> Result<Step, ProtocolError> {
         let mut issued = false;
         let mut scratch = std::mem::take(&mut self.refresh_scratch);
@@ -459,7 +630,7 @@ impl ChannelSched {
                         issued = true;
                         continue 'rescan;
                     }
-                    wake = wake.min(e);
+                    wake.fold_row(e);
                 }
             }
             if !any_open {
@@ -474,7 +645,7 @@ impl ChannelSched {
                     // `step` takes the normal path — stop here.
                     return Ok(Step::Issued(None));
                 }
-                wake = wake.min(e);
+                wake.fold_row(e);
             }
             break;
         }
@@ -482,7 +653,7 @@ impl ChannelSched {
         if issued {
             return Ok(Step::Issued(None));
         }
-        Ok(Step::Sleep(wake.max(now + 1)))
+        Ok(Step::Sleep(wake))
     }
 
     fn queue(&self, is_write: bool) -> &[FifoRing] {
@@ -513,7 +684,7 @@ impl ChannelSched {
         now: Ns,
         use_writes: bool,
         stats: &mut CtrlStats,
-        wake: &mut Ns,
+        wake: &mut Wake,
     ) -> Result<Option<Step>, ProtocolError> {
         let mut best: Option<(Ns, u64, usize, usize)> = None;
         for b in 0..self.banks {
@@ -550,8 +721,10 @@ impl ChannelSched {
             }
         }
         let Some((e_hint, _, bank, idx)) = best else { return Ok(None) };
+        // One column probe per step: the hint is the step's whole column
+        // wake. Reached, it waits on the column bus (`Wake::at`).
+        wake.col = e_hint;
         if e_hint > now {
-            *wake = (*wake).min(e_hint);
             return Ok(None);
         }
         let p = *self.queue(use_writes)[bank].get(&self.arena, idx).expect("scheduled request");
@@ -567,7 +740,7 @@ impl ChannelSched {
         let e = dev.earliest(&cmd, now)?;
         if e > now {
             // The shared command bus (not the channel) must be busy.
-            *wake = (*wake).min(e);
+            debug_assert_eq!(e, dev.col_bus_free(self.channel), "a reached hint waits on the bus");
             return Ok(None);
         }
         let completion = dev.issue(cmd, now)?;
@@ -614,7 +787,7 @@ impl ChannelSched {
         now: Ns,
         use_writes: bool,
         stats: &mut CtrlStats,
-        wake: &mut Ns,
+        wake: &mut Wake,
     ) -> Result<Option<Step>, ProtocolError> {
         // Front requests per bank, oldest first (reusable scratch —
         // allocation-free after warm-up).
@@ -645,7 +818,7 @@ impl ChannelSched {
                 // not a fixed-interval poll.
                 if self.row_has_pending(b, o.row, o.slice, use_writes) {
                     let fence = self.conflict_fence(dev, b as u32, o.row, o.slice, use_writes, now);
-                    *wake = (*wake).min(fence);
+                    wake.fold_other(fence);
                     continue;
                 }
                 if let Some(step) = self.try_precharge(
@@ -672,7 +845,7 @@ impl ChannelSched {
                     ret = Some(Step::Issued(None));
                     break;
                 }
-                Ok(e) => *wake = (*wake).min(e),
+                Ok(e) => wake.fold_row(e),
                 Err(err) => {
                     if let Some(step) = self.resolve_act_block(
                         dev, now, b as u32, &p, err.rule, use_writes, stats, wake,
@@ -717,7 +890,7 @@ impl ChannelSched {
         rule: Rule,
         use_writes: bool,
         stats: &mut CtrlStats,
-        wake: &mut Ns,
+        wake: &mut Wake,
     ) -> Result<Option<Step>, ProtocolError> {
         let sub_of = |row: u32| row / dev.config().rows_per_subarray() as u32;
         let want_sub = sub_of(p.row);
@@ -738,7 +911,7 @@ impl ChannelSched {
                     if let Some((row, slice)) = blocking {
                         if self.row_has_pending(sib as usize, row, slice, use_writes) {
                             let fence = self.conflict_fence(dev, sib, row, slice, use_writes, now);
-                            *wake = (*wake).min(fence);
+                            wake.fold_other(fence);
                             return Ok(None);
                         }
                         return self.try_precharge(
@@ -766,7 +939,7 @@ impl ChannelSched {
                 if let Some((row, slice)) = blocking {
                     if self.row_has_pending(bank as usize, row, slice, use_writes) {
                         let fence = self.conflict_fence(dev, bank, row, slice, use_writes, now);
-                        *wake = (*wake).min(fence);
+                        wake.fold_other(fence);
                         return Ok(None);
                     }
                     return self.try_precharge(
@@ -803,7 +976,7 @@ impl ChannelSched {
         row: u32,
         slice: u32,
         counter: &mut fgdram_model::stats::Counter,
-        wake: &mut Ns,
+        wake: &mut Wake,
     ) -> Result<Option<Step>, ProtocolError> {
         let cmd = DramCommand::Precharge { bank, row: Some(row), slice };
         let e = dev.earliest(&cmd, now)?;
@@ -814,31 +987,30 @@ impl ChannelSched {
             self.last_activity = now;
             return Ok(Some(Step::Issued(None)));
         }
-        *wake = (*wake).min(e);
+        wake.fold_row(e);
         Ok(None)
     }
 
     /// Closes rows whose bank has no pending work once they have idled past
-    /// the configured timeout. Returns the (possibly earlier) wake time.
+    /// the configured timeout, folding the deadline into `wake`.
     fn maybe_idle_close(
         &mut self,
         dev: &mut DramDevice,
         now: Ns,
         stats: &mut CtrlStats,
-        wake: Ns,
-    ) -> Result<Ns, ProtocolError> {
+        wake: &mut Wake,
+    ) -> Result<(), ProtocolError> {
         if self.cfg.idle_row_timeout == 0 {
-            return Ok(wake);
+            return Ok(());
         }
         let deadline = self.last_activity + self.cfg.idle_row_timeout;
-        let mut wake = wake;
         if now < deadline {
             let has_open =
                 (0..self.banks as u32).any(|b| dev.channel(self.channel).bank(b).any_open());
             if has_open {
-                wake = wake.min(deadline);
+                wake.fold_other(deadline);
             }
-            return Ok(wake);
+            return Ok(());
         }
         for b in 0..self.banks as u32 {
             if !self.read_q[b as usize].is_empty() || !self.write_q[b as usize].is_empty() {
@@ -847,20 +1019,92 @@ impl ChannelSched {
             let open =
                 dev.channel(self.channel).bank(b).open_rows().next().map(|o| (o.row, o.slice));
             if let Some((row, slice)) = open {
-                if let Some(step) = self.try_precharge(
+                let closed = self.try_precharge(
                     dev,
                     now,
                     self.bank_ref(b),
                     row,
                     slice,
                     &mut stats.timeout_precharges,
-                    &mut wake,
-                )? {
-                    let _ = step;
-                    return Ok(wake.min(now + 1));
+                    wake,
+                )?;
+                if closed.is_some() {
+                    // Issued, yet the pass ends: the next one is at `now + 1`.
+                    wake.fold_other(now + 1);
+                    return Ok(());
                 }
             }
         }
-        Ok(wake)
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fgdram_model::addr::PhysAddr;
+    use fgdram_model::config::DramKind;
+
+    /// `Wake::at` is what a pass would compute: each case is one way a
+    /// rule could be loosened and still look plausible.
+    #[test]
+    fn wake_at_is_the_pass_result_behind_the_buses() {
+        let w = |row, col, other| Wake { row, col, other };
+        let never = FAR_FUTURE;
+        // A reached column hint waits on the column bus ...
+        assert_eq!(w(never, 10, never).at(12, 0, 15), 15);
+        // ... and when the bus is free the pass must run (a time <= now).
+        assert!(w(never, 10, never).at(12, 0, 11) <= 12);
+        // A hint not yet reached is kept, however long the bus is held:
+        // the pass would sleep to it and only then meet the bus.
+        assert_eq!(w(never, 14, never).at(12, 0, 20), 14);
+        // A row wake is held back by the row bus ...
+        assert_eq!(w(14, never, never).at(12, 18, 0), 18);
+        assert_eq!(w(14, never, never).at(12, 9, 0), 14);
+        // ... and `other` by nothing.
+        assert_eq!(w(20, never, 13).at(12, 30, 30), 13);
+        assert_eq!(w(20, 25, never).at(12, 30, 0), 25);
+    }
+
+    /// A read; `enqueue` takes the location from its routed `Location`.
+    fn read(id: u64) -> MemRequest {
+        MemRequest { id: ReqId(id), addr: PhysAddr(0), is_write: false }
+    }
+
+    /// Rule 2 of the arrival triage on a SALP+SC bank, where one bank
+    /// holds several open rows: behind an older hit, an arrival is
+    /// invisible only while its bank has a single open row.
+    #[test]
+    fn an_arrival_behind_an_older_hit_is_visible_on_a_second_open_row() {
+        let cfg = DramConfig::new(DramKind::QbHbmSalpSc);
+        let ctrl = CtrlConfig::default();
+        let slots = cfg.slices_per_row() as usize * cfg.subarrays_per_bank;
+        let apa = cfg.atoms_per_activation() as u32;
+        for second_row_open in [false, true] {
+            let mut dev = DramDevice::new(cfg.clone());
+            let bank = BankRef { channel: 0, bank: 0 };
+            dev.issue(DramCommand::Activate { bank, row: 1, slice: 0 }, 0).unwrap();
+            if second_row_open {
+                let act = DramCommand::Activate { bank, row: 2, slice: 1 };
+                let at = dev.earliest(&act, 0).unwrap();
+                dev.issue(act, at).unwrap();
+            }
+            let banks = cfg.banks_per_channel;
+            let mut s = ChannelSched::new(0, banks, apa, false, ctrl, 3900, 1000, slots);
+            let at = |row, col| Location { channel: 0, bank: 0, row, col };
+            // A queue front, then a hit on the first open row behind it.
+            s.enqueue(&read(1), &at(3, 0), 1, 0);
+            s.enqueue(&read(2), &at(1, 0), 2, 0);
+            assert!(s.poke_hard, "a new queue front forces a pass");
+            // As a pass leaves it: pokes consumed, the older hit cached.
+            (s.poke_hard, s.poke_marks) = (false, 0);
+            let hit = s.scan_first_hit(dev.channel(0), 0, false);
+            assert_eq!(hit, Some(1));
+            s.hit_cache[0][0] = HitCache::Known(hit);
+            // The arrival: a hit on the second row's slot, if it is open.
+            s.enqueue(&read(3), &at(2, apa), 3, 0);
+            assert_eq!(s.poke_marks, 1, "an in-window arrival marks (bank 0, reads)");
+            assert_eq!(s.marks_invisible(&dev), !second_row_open);
+        }
     }
 }

@@ -33,6 +33,13 @@ pub struct CtrlStats {
     /// Queue occupancy sampled at each enqueue (histogram, so telemetry
     /// can report per-epoch depth quantiles, not just a mean).
     pub queue_depth: Log2Histogram,
+    /// Scheduler passes run (host-side work; not in telemetry or reports).
+    pub passes: Counter,
+    /// Passes that issued no command.
+    pub idle_passes: Counter,
+    /// Due channels put back to sleep without a pass (see
+    /// `Controller::tick`).
+    pub rearmed: Counter,
 }
 
 impl CtrlStats {
@@ -44,6 +51,16 @@ impl CtrlStats {
     /// Records a completed read's end-to-end controller latency.
     pub fn record_read_latency(&mut self, enqueued: Ns, done: Ns) {
         self.read_latency.record(done.saturating_sub(enqueued));
+    }
+
+    /// DRAM commands issued: every issue path counts exactly one of these.
+    pub(crate) fn commands(&self) -> u64 {
+        self.row_hits.get()
+            + self.activates.get()
+            + self.conflict_precharges.get()
+            + self.timeout_precharges.get()
+            + self.refresh_precharges.get()
+            + self.refreshes.get()
     }
 
     /// Row-buffer hit rate over all issued columns.

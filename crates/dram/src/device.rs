@@ -131,6 +131,20 @@ impl DramDevice {
         channel as usize / self.cfg.channels_per_cmd_channel
     }
 
+    /// When the row command bus `channel` shares (activates, precharges,
+    /// refreshes) is next free. Only ever grows.
+    #[inline]
+    pub fn row_bus_free(&self, channel: u32) -> Ns {
+        self.cmd_buses[self.cmd_bus_index(channel)].row_busy_until
+    }
+
+    /// When the column command bus `channel` shares (reads, writes) is
+    /// next free. Only ever grows.
+    #[inline]
+    pub fn col_bus_free(&self, channel: u32) -> Ns {
+        self.cmd_buses[self.cmd_bus_index(channel)].col_busy_until
+    }
+
     fn cmd_slot(&self, cmd: &DramCommand, at: Ns) -> Ns {
         let bus = &self.cmd_buses[self.cmd_bus_index(cmd.channel())];
         if cmd.is_row_cmd() {
@@ -392,9 +406,11 @@ mod tests {
         // Same command channel: must wait for the 3 ns activate slot.
         let t1 = d.earliest(&a1, 0).unwrap();
         assert_eq!(t1, 3);
+        assert_eq!((d.row_bus_free(1), d.col_bus_free(1)), (3, 0), "grain 1 sees the bus");
         // Grain 8 lives on command channel 1: free at 0.
         let t8 = d.earliest(&a8, 0).unwrap();
         assert_eq!(t8, 0);
+        assert_eq!(d.row_bus_free(8), 0);
         let err = d.issue(a1, 1).unwrap_err();
         assert_eq!(err.rule, Rule::CmdBusBusy);
     }

@@ -34,10 +34,13 @@
 //! wheel's.
 //!
 //! Ordered pops of a slot holding many events (STREAM on FGDRAM parks
-//! about 30 on one ns, GUPS hundreds of controller wakes) do not search
-//! the chain for the minimum each time — that is O(k^2) per ns. The
-//! first pop unlinks the whole slot into `batch`, sorts it once, and the
-//! rest of that ns is served from there.
+//! about 30 fills on one ns) do not search the chain for the minimum each
+//! time — that is O(k^2) per ns. The first pop unlinks the whole slot into
+//! `batch`, sorts it once, and the rest of that ns is served from there.
+//! Lazy-deletion users that only need the earliest live time (the
+//! controller's due wheel, ~50 wakes per ns on GUPS/FGDRAM) neither pop
+//! nor sort: `first_valid_time` unlinks stale entries in storage order
+//! and stops at the first live one.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -231,25 +234,75 @@ impl<T: Ord + Copy> EventWheel<T> {
             self.wheel_len -= 1;
             cur = next;
         }
+        self.clear_bit(s);
+    }
+
+    /// Removes the inline entry of the occupied slot `s`; the first
+    /// chained entry, if any, takes its place.
+    fn unlink_inline(&mut self, s: usize) {
+        self.wheel_len -= 1;
+        let head = self.more[s];
+        if head == NIL {
+            self.inline[s] = None;
+            self.clear_bit(s);
+            return;
+        }
+        let (t, ev, next) = self.pool[head as usize];
+        self.inline[s] = Some((t, ev));
+        self.more[s] = next;
+        self.pool[head as usize].2 = self.free_head;
+        self.free_head = head;
+    }
+
+    /// Marks slot `s` empty in the bitmaps.
+    fn clear_bit(&mut self, s: usize) {
         self.words[s / 64] &= !(1 << (s % 64));
         if self.words[s / 64] == 0 {
             self.summary &= !(1 << (s / 64));
         }
     }
 
-    /// Pops the minimum `(time, event)` unconditionally (heap-`pop`
-    /// equivalent, for lazy-deletion users that must discard stale
-    /// entries beyond `now`). Does *not* advance `base` — the minimum may
-    /// lie arbitrarily far in the future, and moving `base` past `now`
-    /// would make legitimate pushes at `now` look like pushes into the
-    /// past. A popped entry can always be pushed straight back (its time
-    /// is `>= base` by the wheel invariant).
-    pub fn pop_min(&mut self) -> Option<(Ns, T)> {
-        let m = self.next_time()?;
-        self.pop_at(m)
+    /// The earliest time holding an entry that `valid` accepts, discarding
+    /// the entries it rejects on the way — the peek of a lazy-deletion
+    /// queue. Entries of the minimum time are tested in storage order and
+    /// the walk stops at the first valid one, which stays linked where it
+    /// is: nothing is popped, sorted or batched. Like `push`, it leaves
+    /// `base` alone, so pushes at the caller's `now` stay legal.
+    pub fn first_valid_time(&mut self, mut valid: impl FnMut(Ns, T) -> bool) -> Option<Ns> {
+        loop {
+            let m = self.next_time()?;
+            // Batch, slots and overflow never tie on time (see `batch`).
+            if self.batch_time() == Some(m) {
+                let &(t, ev) = self.batch.last().expect("batch time of a live batch");
+                if valid(t, ev) {
+                    return Some(m);
+                }
+                self.batch.pop();
+                continue;
+            }
+            let s = (m & MASK) as usize;
+            match self.inline[s] {
+                Some((t, ev)) if t == m => {
+                    if valid(t, ev) {
+                        return Some(m);
+                    }
+                    self.unlink_inline(s);
+                }
+                // Not in the slots (an alias of `m` may be): beyond the
+                // horizon.
+                _ => {
+                    let &Reverse((t, ev)) = self.overflow.peek().expect("minimum is somewhere");
+                    if valid(t, ev) {
+                        return Some(m);
+                    }
+                    self.overflow.pop();
+                }
+            }
+        }
     }
 
-    /// Pops the minimum entry, given its time `m` (`next_time`'s answer).
+    /// Pops the minimum entry, given its time `m` (`next_time`'s answer,
+    /// with `base` advanced to it).
     fn pop_at(&mut self, m: Ns) -> Option<(Ns, T)> {
         // Batch, slots and overflow never tie on time (see `batch`), so
         // `m` names exactly one of them.
@@ -263,23 +316,16 @@ impl<T: Ord + Copy> EventWheel<T> {
         }
         if self.more[s] == NIL {
             // Dominant case: a one-event slot never touches pool or batch.
-            let one = self.inline[s].take();
-            self.wheel_len -= 1;
-            self.words[s / 64] &= !(1 << (s % 64));
-            if self.words[s / 64] == 0 {
-                self.summary &= !(1 << (s / 64));
-            }
+            let one = self.inline[s];
+            self.unlink_inline(s);
             return one;
         }
         // All entries of a slot share one time, so this pop and the ones
         // that follow want them in event order: unlink the chain once and
         // sort it, instead of searching it for the minimum on every pop.
-        // A live batch of a later time goes back to its (empty) slot
-        // first. That needs a `pop_min` to have left `base` short of the
-        // batch and earlier pushes since; a `pop_due` drain never sees it.
-        while let Some((t, ev)) = self.batch.pop() {
-            self.link(t, ev);
-        }
+        // `base` is at `m` and no live batch is later (a batch is only
+        // taken apart at the minimum, and nothing is pushed below `base`).
+        debug_assert!(self.batch.is_empty(), "a live batch is always the minimum");
         let mut batch = std::mem::take(&mut self.batch);
         self.unlink_slot(s, &mut batch);
         batch.sort_unstable_by(|a, b| b.cmp(a));
@@ -512,19 +558,86 @@ mod tests {
     }
 
     #[test]
-    fn pop_min_ignores_due_time_and_allows_repush() {
+    fn first_valid_time_ignores_due_time_and_removes_only_stale() {
         let mut w = EventWheel::new();
         w.push(100, 1u32);
         w.push(40, 2);
         w.push(5 * W as u64, 3);
-        assert_eq!(w.pop_min(), Some((40, 2)), "min pops regardless of now");
-        // Lazy-deletion pattern: inspect, then push straight back.
-        let (t, ev) = w.pop_min().unwrap();
-        assert_eq!((t, ev), (100, 1));
-        w.push(t, ev);
-        assert_eq!(w.pop_min(), Some((100, 1)));
-        assert_eq!(w.pop_min(), Some((5 * W as u64, 3)), "overflow drains too");
-        assert_eq!(w.pop_min(), None);
+        assert_eq!(w.first_valid_time(|_, _| true), Some(40), "min regardless of now");
+        assert_eq!(w.len(), 3, "a peek removes nothing valid");
+        assert_eq!(w.first_valid_time(|_, ev| ev != 2), Some(100));
+        assert_eq!(w.len(), 2);
+        // A push at the old `base` (0) is still legal: the peek moved
+        // nothing.
+        w.push(0, 4);
+        assert_eq!(w.pop_due(0), Some((0, 4)));
+        assert_eq!(w.first_valid_time(|_, ev| ev == 3), Some(5 * W as u64), "overflow too");
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.first_valid_time(|_, _| false), None);
+        assert!(w.is_empty());
+    }
+
+    /// A wheel holding `entries`.
+    fn wheel_of(entries: &[(Ns, u32)]) -> EventWheel<u32> {
+        let mut w = EventWheel::new();
+        for &(t, ev) in entries {
+            w.push(t, ev);
+        }
+        w
+    }
+
+    #[test]
+    fn first_valid_time_skips_a_slot_of_only_stale_entries() {
+        let mut w = wheel_of(&[(10, 1), (10, 2), (10, 3), (20, 4)]);
+        assert_eq!(w.first_valid_time(|_, ev| ev == 4), Some(20));
+        assert_eq!(w.len(), 1, "the whole stale slot is gone");
+        assert_eq!(w.pop_due(20), Some((20, 4)));
+    }
+
+    #[test]
+    fn first_valid_time_discards_a_stale_batch() {
+        let mut w = wheel_of(&[(10, 1), (10, 2), (10, 3), (30, 4)]);
+        // The first ordered pop takes the slot apart into the batch.
+        assert_eq!(w.pop_due(10), Some((10, 1)));
+        assert_eq!(w.batch.len(), 2);
+        assert_eq!(w.first_valid_time(|_, ev| ev == 4), Some(30));
+        assert!(w.batch.is_empty());
+        assert_eq!(w.len(), 1);
+        // A push at `now` (the batch's time) is still accepted.
+        w.push(10, 5);
+        assert_eq!(w.pop_due(10), Some((10, 5)));
+    }
+
+    #[test]
+    fn first_valid_time_discards_a_stale_overflow_top() {
+        let far = 3 * W as u64;
+        let mut w = wheel_of(&[(far, 1), (far + 5, 2)]);
+        assert_eq!(w.first_valid_time(|_, ev| ev == 2), Some(far + 5));
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.pop_due(far + 5), Some((far + 5, 2)));
+    }
+
+    #[test]
+    fn first_valid_time_finds_a_valid_entry_behind_stale_ones_in_one_chain() {
+        // Storage order of one slot: the inline entry (1), then the chain,
+        // newest first (4, 3, 2). The walk drops 1, 4 and 3, stops at 2.
+        let mut w = wheel_of(&[(10, 1), (10, 2), (10, 3), (10, 4)]);
+        assert_eq!(w.first_valid_time(|_, ev| ev == 2), Some(10));
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.pop_due(10), Some((10, 2)));
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn first_valid_time_leaves_valid_entries_linked_unsorted() {
+        let mut w = wheel_of(&[(10, 3), (10, 1), (10, 2)]);
+        assert_eq!(w.first_valid_time(|_, _| true), Some(10));
+        assert!(w.batch.is_empty(), "no batch");
+        assert_eq!(w.inline[10], Some((10, 3)), "inline entry untouched: no sort");
+        assert_eq!(w.len(), 3);
+        // Ordered pops still come out in event order.
+        let popped: Vec<_> = std::iter::from_fn(|| w.pop_due(10)).collect();
+        assert_eq!(popped, [(10, 1), (10, 2), (10, 3)]);
     }
 
     #[test]
@@ -567,17 +680,18 @@ mod tests {
     }
 
     /// The controller due-queue discipline: cancellations are lazy (stale
-    /// entries stay queued; `pop_min` discards them on the way out, and a
-    /// live-but-not-due head is pushed straight back). Across seeded
-    /// bursts of pushes and cancels the wheel must pop the exact sequence
-    /// of the reference heap under the same discipline.
+    /// entries stay queued; a drain skips them, and `first_valid_time`
+    /// discards those in front of the earliest live one). Across seeded
+    /// bursts of pushes and cancels the wheel must yield the live entries
+    /// in the reference's exact order and peek the reference's minimum.
     #[test]
-    fn lazy_clean_pop_min_survives_cancellation_bursts() {
-        use std::collections::HashSet;
+    fn lazy_clean_first_valid_time_survives_cancellation_bursts() {
+        use std::collections::{BTreeSet, HashSet};
         for seed in [3u64, 11, 2026] {
             let mut s = seed;
             let mut wheel = EventWheel::new();
-            let mut reference = BinaryHeap::new();
+            // Live entries only: a cancel removes its entry here at once.
+            let mut reference = BTreeSet::new();
             let mut live: Vec<(Ns, u32)> = Vec::new();
             let mut canceled: HashSet<u32> = HashSet::new();
             let mut next_id = 0u32;
@@ -599,47 +713,46 @@ mod tests {
                         let id = next_id;
                         next_id += 1;
                         wheel.push(now + dt, id);
-                        reference.push(Reverse((now + dt, id)));
+                        reference.insert((now + dt, id));
                         live.push((now + dt, id));
                     }
                 }
                 // Cancellation burst: mark a random subset stale without
-                // touching either queue.
+                // touching the wheel.
                 for _ in 0..(mix(&mut s) % 4) {
                     if live.is_empty() {
                         break;
                     }
                     let i = (mix(&mut s) % live.len() as u64) as usize;
-                    canceled.insert(live.swap_remove(i).1);
+                    let e = live.swap_remove(i);
+                    reference.remove(&e);
+                    canceled.insert(e.1);
                 }
                 now += 1 + mix(&mut s) % 512;
                 // A controller tick: everything due comes out in order
-                // (which also moves `base` up to `now`) ...
+                // (which also moves `base` up to `now`), stale entries
+                // skipped ...
                 while let Some((t, id)) = wheel.pop_due(now) {
-                    assert_eq!(reference.pop(), Some(Reverse((t, id))), "seed {seed}");
-                    live.retain(|&(_, l)| l != id);
-                }
-                // ... then stale tops are discarded until a live one
-                // surfaces, which goes straight back (pop_min does not
-                // advance base, so this must stay legal) and may leave a
-                // later slot taken apart while earlier pushes arrive.
-                while let Some((t, id)) = wheel.pop_min() {
-                    if canceled.contains(&id) {
-                        assert_eq!(reference.pop(), Some(Reverse((t, id))), "seed {seed}");
-                        continue;
+                    if !canceled.contains(&id) {
+                        assert_eq!(reference.pop_first(), Some((t, id)), "seed {seed}");
+                        live.retain(|&(_, l)| l != id);
                     }
-                    assert!(t > now, "seed {seed}: due entry survived the drain");
-                    assert_eq!(reference.peek(), Some(&Reverse((t, id))), "seed {seed}");
-                    wheel.push(t, id);
-                    break;
                 }
-                assert_eq!(wheel.len(), reference.len(), "seed {seed}");
+                // ... then the peek names the earliest live time, possibly
+                // leaving a slot half cleaned while earlier pushes arrive
+                // (it does not advance base, so they stay legal).
+                let peek = wheel.first_valid_time(|_, id| !canceled.contains(&id));
+                assert_eq!(peek, reference.first().map(|&(t, _)| t), "seed {seed}");
+                assert!(peek.is_none_or(|t| t > now), "seed {seed}: due entry survived the drain");
+                assert!(wheel.len() >= reference.len(), "seed {seed}");
             }
-            // Final full drain: both queues agree to the last entry.
-            while let Some(e) = wheel.pop_min() {
-                assert_eq!(reference.pop(), Some(Reverse(e)), "seed {seed}");
+            // Final full drain: the live entries agree to the last one.
+            while let Some((t, id)) = wheel.pop_due(Ns::MAX) {
+                if !canceled.contains(&id) {
+                    assert_eq!(reference.pop_first(), Some((t, id)), "seed {seed}");
+                }
             }
-            assert!(reference.pop().is_none(), "seed {seed}");
+            assert!(reference.is_empty(), "seed {seed}");
         }
     }
 

@@ -3,14 +3,32 @@
 //! isolating scheduler efficiency from demand effects.
 //!
 //! Usage: cargo run --release --example ctrl_microbench [pattern] [arch]
-//! where pattern is `seq`, `rand`, or `rand-rw`.
+//! where pattern is `seq`, `rand`, or `rand-rw`, or a suite application
+//! (`GUPS`, `STREAM`, ...): that drives the whole `System` the way the
+//! repo benchmark does — 20 000 ns warm-up, then a 30 000 ns window.
+//!
+//! Either way it also prints the scheduler's host-side work per simulated
+//! ns (ROADMAP item 4a): passes run, passes that issued nothing, and due
+//! channels re-armed without a pass.
 
-use fgdram::ctrl::Controller;
+use fgdram::core::SystemBuilder;
+use fgdram::ctrl::{Controller, CtrlStats};
 use fgdram::dram::DramDevice;
 use fgdram::model::addr::{MemRequest, PhysAddr, ReqId};
 use fgdram::model::config::{CtrlConfig, DramConfig, DramKind};
 use fgdram::model::rng::SmallRng;
-use fgdram::model::units::GbPerSec;
+use fgdram::model::units::{GbPerSec, Ns};
+use fgdram::workloads::suites;
+
+fn print_scheduler_work(s: &CtrlStats, window: Ns) {
+    let per_ns = |c: u64| c as f64 / window as f64;
+    println!(
+        "per simulated ns: {:.1} passes, {:.1} idle passes, {:.1} re-arms",
+        per_ns(s.passes.get()),
+        per_ns(s.idle_passes.get()),
+        per_ns(s.rearmed.get()),
+    );
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pattern = std::env::args().nth(1).unwrap_or_else(|| "rand".into());
@@ -20,6 +38,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some("salp") => DramKind::QbHbmSalpSc,
         _ => DramKind::QbHbm,
     };
+    if let Some(w) = suites::by_name(&pattern) {
+        let (warmup, window) = (20_000, 30_000);
+        let mut sys = SystemBuilder::new(kind).workload(w).build()?;
+        sys.run_for(warmup)?;
+        sys.reset_stats();
+        sys.run_for(window)?;
+        println!("{pattern} on {kind}, {window} ns after a {warmup} ns warm-up");
+        print_scheduler_work(sys.controller().stats(), window);
+        return Ok(());
+    }
     let cfg = DramConfig::new(kind);
     let mut dev = DramDevice::new(cfg.clone());
     let mut ctrl = Controller::new(&cfg, CtrlConfig::for_dram(&cfg))?;
@@ -84,5 +112,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         k.activates,
         ctrl.stats().hit_rate() * 100.0,
     );
+    print_scheduler_work(ctrl.stats(), window);
     Ok(())
 }
