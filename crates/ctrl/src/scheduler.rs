@@ -54,7 +54,7 @@
 
 use std::collections::VecDeque;
 
-use fgdram_dram::{DramDevice, ProtocolError, Rule};
+use fgdram_dram::{DramDevice, ProtocolError, Rule, TryIssue};
 use fgdram_model::addr::{Location, MemRequest, ReqId};
 use fgdram_model::cmd::{BankRef, Completion, DramCommand};
 use fgdram_model::config::{ConfigError, CtrlConfig, DramConfig, PagePolicy};
@@ -89,12 +89,6 @@ const _: () = assert!(std::mem::size_of::<Pending>() == 32);
 #[inline]
 fn scan_key(row: u32, slice: u32) -> u32 {
     row << 8 | slice
-}
-
-/// Inverse of [`scan_key`]: `(row, slice)`.
-#[inline]
-fn key_parts(key: u32) -> (u32, u32) {
-    (key >> 8, key & 0xff)
 }
 
 impl Pending {
@@ -449,26 +443,25 @@ impl ChannelSched {
     }
 
     /// Fresh scan for the FIFO-oldest row-buffer hit in `bank`'s queue
-    /// (the cache's ground truth).
+    /// (the cache's ground truth). A queued request hits exactly when its
+    /// key is an open row's `(row, slice)` key, so each open row's key is
+    /// looked for once in the key lane, only ahead of the best hit so far;
+    /// the device is not consulted per queued key.
     fn scan_first_hit(
         &self,
         ch: fgdram_dram::Channel<'_>,
         bank: usize,
         use_writes: bool,
     ) -> Option<u32> {
-        let bank_view = ch.bank(bank as u32);
-        // One open-bitset word test skips the whole window scan for banks
-        // with nothing open — the common case on random-access workloads.
-        if !bank_view.any_open() {
-            return None;
+        let window = self.window_keys(bank, use_writes);
+        let mut first = window.len();
+        for o in ch.bank(bank as u32).open_rows() {
+            let key = scan_key(o.row, o.slice);
+            if let Some(i) = window[..first].iter().position(|&k| k == key) {
+                first = i;
+            }
         }
-        self.window_keys(bank, use_writes)
-            .iter()
-            .position(|&k| {
-                let (row, slice) = key_parts(k);
-                bank_view.open_at(row, slice).is_some_and(|o| o.row == row)
-            })
-            .map(|i| i as u32)
+        (first < window.len()).then_some(first as u32)
     }
 
     /// Cache maintenance after removing queue index `idx` of
@@ -622,30 +615,29 @@ impl ChannelSched {
                     any_open = true;
                     let cmd =
                         DramCommand::Precharge { bank: self.bank_ref(b), row: Some(row), slice };
-                    let e = dev.earliest(&cmd, now)?;
-                    if e <= now {
-                        dev.issue(cmd, now)?;
-                        stats.refresh_precharges.incr();
-                        self.note_precharge(b as usize);
-                        issued = true;
-                        continue 'rescan;
+                    match dev.try_issue(cmd, now)? {
+                        TryIssue::Issued(_) => {
+                            stats.refresh_precharges.incr();
+                            self.note_precharge(b as usize);
+                            issued = true;
+                            continue 'rescan;
+                        }
+                        TryIssue::NotBefore(e) => wake.fold_row(e),
                     }
-                    wake.fold_row(e);
                 }
             }
             if !any_open {
-                let cmd = DramCommand::Refresh { channel: self.channel };
-                let e = dev.earliest(&cmd, now)?;
-                if e <= now {
-                    dev.issue(cmd, now)?;
-                    stats.refreshes.incr();
-                    self.refresh_due += self.refresh_interval;
-                    self.refresh_scratch = scratch;
-                    // The refresh advanced `refresh_due`, so the next
-                    // `step` takes the normal path — stop here.
-                    return Ok(Step::Issued(None));
+                match dev.try_issue(DramCommand::Refresh { channel: self.channel }, now)? {
+                    TryIssue::Issued(_) => {
+                        stats.refreshes.incr();
+                        self.refresh_due += self.refresh_interval;
+                        self.refresh_scratch = scratch;
+                        // The refresh advanced `refresh_due`, so the next
+                        // `step` takes the normal path — stop here.
+                        return Ok(Step::Issued(None));
+                    }
+                    TryIssue::NotBefore(e) => wake.fold_row(e),
                 }
-                wake.fold_row(e);
             }
             break;
         }
@@ -729,7 +721,7 @@ impl ChannelSched {
         }
         let p = *self.queue(use_writes)[bank].get(&self.arena, idx).expect("scheduled request");
         let auto_precharge = self.cfg.page_policy == PagePolicy::Closed
-            || !self.row_reusable(bank, idx, use_writes, p.key());
+            || !self.row_reusable(bank, use_writes, p.key());
         let bankref = self.bank_ref(bank as u32);
         let (row, col) = (p.row, p.col.into());
         let cmd = if p.is_write {
@@ -737,13 +729,18 @@ impl ChannelSched {
         } else {
             DramCommand::Read { bank: bankref, row, col, auto_precharge, req: p.id }
         };
-        let e = dev.earliest(&cmd, now)?;
-        if e > now {
-            // The shared command bus (not the channel) must be busy.
-            debug_assert_eq!(e, dev.col_bus_free(self.channel), "a reached hint waits on the bus");
-            return Ok(None);
-        }
-        let completion = dev.issue(cmd, now)?;
+        let completion = match dev.try_issue(cmd, now)? {
+            TryIssue::Issued(c) => c,
+            TryIssue::NotBefore(e) => {
+                // The shared command bus (not the channel) must be busy.
+                debug_assert_eq!(
+                    e,
+                    dev.col_bus_free(self.channel),
+                    "a reached hint waits on the bus"
+                );
+                return Ok(None);
+            }
+        };
         let removed = if use_writes {
             self.writes -= 1;
             self.write_q[bank].remove_at(&mut self.arena, idx)
@@ -768,15 +765,12 @@ impl ChannelSched {
 
     /// True when another queued request (read or write) can still use the
     /// open row and slice of `bank` that `key` names, so the row should
-    /// stay open.
-    fn row_reusable(&self, bank: usize, skip_idx: usize, skip_writes: bool, key: u32) -> bool {
-        let reused = |is_write: bool| {
-            self.window_keys(bank, is_write)
-                .iter()
-                .enumerate()
-                .any(|(i, &k)| k == key && (is_write != skip_writes || i != skip_idx))
-        };
-        reused(false) || reused(true)
+    /// stay open. The request about to issue is in its own direction's
+    /// window with this key, so that window needs a second match.
+    fn row_reusable(&self, bank: usize, own_writes: bool, key: u32) -> bool {
+        let matches =
+            |is_write: bool| self.window_keys(bank, is_write).iter().filter(|&&k| k == key).count();
+        matches(own_writes) >= 2 || matches(!own_writes) >= 1
     }
 
     /// Tries to open a row (or clear a conflict) for the oldest
@@ -836,16 +830,15 @@ impl ChannelSched {
                 continue;
             }
             let cmd = DramCommand::Activate { bank: bankref, row: p.row, slice };
-            match dev.earliest(&cmd, now) {
-                Ok(e) if e <= now => {
-                    dev.issue(cmd, now)?;
+            match dev.try_issue(cmd, now) {
+                Ok(TryIssue::Issued(_)) => {
                     stats.activates.incr();
                     self.note_activate(b);
                     self.last_activity = now;
                     ret = Some(Step::Issued(None));
                     break;
                 }
-                Ok(e) => wake.fold_row(e),
+                Ok(TryIssue::NotBefore(e)) => wake.fold_row(e),
                 Err(err) => {
                     if let Some(step) = self.resolve_act_block(
                         dev, now, b as u32, &p, err.rule, use_writes, stats, wake,
@@ -979,16 +972,18 @@ impl ChannelSched {
         wake: &mut Wake,
     ) -> Result<Option<Step>, ProtocolError> {
         let cmd = DramCommand::Precharge { bank, row: Some(row), slice };
-        let e = dev.earliest(&cmd, now)?;
-        if e <= now {
-            dev.issue(cmd, now)?;
-            counter.incr();
-            self.note_precharge(bank.bank as usize);
-            self.last_activity = now;
-            return Ok(Some(Step::Issued(None)));
+        match dev.try_issue(cmd, now)? {
+            TryIssue::Issued(_) => {
+                counter.incr();
+                self.note_precharge(bank.bank as usize);
+                self.last_activity = now;
+                Ok(Some(Step::Issued(None)))
+            }
+            TryIssue::NotBefore(e) => {
+                wake.fold_row(e);
+                Ok(None)
+            }
         }
-        wake.fold_row(e);
-        Ok(None)
     }
 
     /// Closes rows whose bank has no pending work once they have idled past

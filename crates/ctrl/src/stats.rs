@@ -53,8 +53,9 @@ impl CtrlStats {
         self.read_latency.record(done.saturating_sub(enqueued));
     }
 
-    /// DRAM commands issued: every issue path counts exactly one of these.
-    pub(crate) fn commands(&self) -> u64 {
+    /// DRAM commands issued: every issue path counts exactly one of these
+    /// (an auto-precharge rides on its column command).
+    pub fn commands(&self) -> u64 {
         self.row_hits.get()
             + self.activates.get()
             + self.conflict_precharges.get()

@@ -12,7 +12,7 @@ use fgdram_model::units::Ns;
 
 use crate::channel::{Channel, ChannelCounters, Reject};
 use crate::error::{ProtocolError, Rule};
-use crate::state::DeviceState;
+use crate::state::{not_before, DeviceState};
 
 /// Split row/column command-bus occupancy for one command channel.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,10 +47,14 @@ pub struct DramDevice {
     cfg: DramConfig,
     state: DeviceState,
     cmd_buses: Vec<CmdBus>,
-    /// Running aggregate of every channel's counters, maintained
-    /// incrementally on [`Self::issue`]: `total_counters` sits on the
-    /// per-step progress-watchdog path, where re-summing 512 grains per
-    /// step dominated wall time.
+    /// `log2(channels_per_cmd_channel)`: channel to command bus.
+    cmd_bus_shift: u32,
+    /// `log2(atoms_per_activation)`: column to subchannel slice.
+    slice_shift: u32,
+    /// Running aggregate of every channel's counters, bumped by command
+    /// kind on every issue: `total_counters` sits on the per-step
+    /// progress-watchdog path, where re-summing 512 grains per step
+    /// dominated wall time.
     totals: ChannelCounters,
     trace: Option<Vec<TimedCommand>>,
 }
@@ -67,6 +71,9 @@ impl DramDevice {
         DramDevice {
             state: DeviceState::new(&cfg),
             cmd_buses: vec![CmdBus::default(); cfg.cmd_channels().max(1)],
+            // Both are validated powers of two.
+            cmd_bus_shift: cfg.channels_per_cmd_channel.trailing_zeros(),
+            slice_shift: cfg.atoms_per_activation().trailing_zeros(),
             totals: ChannelCounters::default(),
             trace: None,
             cfg,
@@ -128,7 +135,7 @@ impl DramDevice {
 
     #[inline]
     fn cmd_bus_index(&self, channel: u32) -> usize {
-        channel as usize / self.cfg.channels_per_cmd_channel
+        (channel >> self.cmd_bus_shift) as usize
     }
 
     /// When the row command bus `channel` shares (activates, precharges,
@@ -194,7 +201,7 @@ impl DramDevice {
     /// Subchannel slice of a column (0 when the config has a single slice).
     #[inline]
     fn slice_of(&self, col: u32) -> u32 {
-        col / self.cfg.atoms_per_activation() as u32
+        col >> self.slice_shift
     }
 
     /// Earliest time `cmd` may issue at or after `at`, combining bank,
@@ -207,42 +214,34 @@ impl DramDevice {
     pub fn earliest(&self, cmd: &DramCommand, at: Ns) -> Result<Ns, ProtocolError> {
         let wrap = |r: Reject| ProtocolError { cmd: *cmd, at, rule: r.rule, earliest: r.earliest };
         self.check_ranges(cmd).map_err(wrap)?;
-        let t = match *cmd {
-            DramCommand::Activate { bank, row, slice } => {
-                self.state.earliest_act(bank.channel, bank.bank, row, slice, at).map_err(wrap)?
-            }
-            DramCommand::Read { bank, row, col, .. } => self
-                .state
-                .earliest_col(bank.channel, bank.bank, row, self.slice_of(col), false, at)
-                .map_err(wrap)?,
-            DramCommand::Write { bank, row, col, .. } => self
-                .state
-                .earliest_col(bank.channel, bank.bank, row, self.slice_of(col), true, at)
-                .map_err(wrap)?,
-            DramCommand::Precharge { bank, row, slice } => match row {
-                Some(r) => {
-                    self.state.earliest_pre(bank.channel, bank.bank, r, slice, at).map_err(wrap)?
-                }
-                None => self.earliest_pre_all(bank.channel, bank.bank, at).map_err(wrap)?,
-            },
-            DramCommand::Refresh { channel } => {
-                self.state.earliest_refresh(channel, at).map_err(wrap)?
-            }
-        };
+        let (t, _) = self.timing(cmd, at).map_err(wrap)?;
         Ok(self.cmd_slot(cmd, t))
     }
 
-    fn earliest_pre_all(&self, ch: u32, bank: u32, at: Ns) -> Result<Ns, Reject> {
-        let mut any = false;
-        let mut t = at;
-        for o in self.state.open_rows(ch, bank) {
-            any = true;
-            t = t.max(o.earliest_pre);
-        }
-        if !any {
-            return Err(Reject { rule: Rule::PreNothingOpen, earliest: None });
-        }
-        Ok(t)
+    /// The one timing evaluation of `cmd` at `at`: its earliest legal time
+    /// by the channel's own state (command bus excluded) and the rule an
+    /// issue before that time breaks.
+    fn timing(&self, cmd: &DramCommand, at: Ns) -> Result<(Ns, Rule), Reject> {
+        let s = &self.state;
+        Ok(match *cmd {
+            DramCommand::Activate { bank, row, slice } => {
+                (s.earliest_act(bank.channel, bank.bank, row, slice, at)?, Rule::ActTooEarly)
+            }
+            DramCommand::Read { bank, row, col, .. }
+            | DramCommand::Write { bank, row, col, .. } => {
+                let (slice, is_write) = (self.slice_of(col), is_write_cmd(cmd));
+                (s.earliest_col(bank.channel, bank.bank, row, slice, is_write, at)?, Rule::ColCcd)
+            }
+            DramCommand::Precharge { bank, row: Some(row), slice } => {
+                (s.earliest_pre(bank.channel, bank.bank, row, slice, at)?, Rule::PreTooEarly)
+            }
+            DramCommand::Precharge { bank, row: None, .. } => {
+                (s.earliest_pre_all(bank.channel, bank.bank, at)?, Rule::PreTooEarly)
+            }
+            DramCommand::Refresh { channel } => {
+                (s.earliest_refresh(channel, at)?, Rule::RefreshConflict)
+            }
+        })
     }
 
     /// Issues `cmd` at `at`, appending it to the trace when recording is
@@ -250,7 +249,8 @@ impl DramDevice {
     ///
     /// # Errors
     ///
-    /// Any protocol violation; the device state is unchanged on error.
+    /// Any protocol violation, typed by the rule it breaks; the device
+    /// state is unchanged on error.
     pub fn issue(&mut self, cmd: DramCommand, at: Ns) -> Result<Option<Completion>, ProtocolError> {
         let wrap = |r: Reject| ProtocolError { cmd, at, rule: r.rule, earliest: r.earliest };
         self.check_ranges(&cmd).map_err(wrap)?;
@@ -259,98 +259,105 @@ impl DramDevice {
         if at < slot {
             return Err(ProtocolError { cmd, at, rule: Rule::CmdBusBusy, earliest: Some(slot) });
         }
-        // A command touches exactly one channel; capture its counters so
-        // the running totals can absorb the delta afterwards. (Failed
-        // issues leave channel state — and thus the delta — untouched.)
-        let chx = cmd.channel();
-        let before = *self.state.counters(chx);
+        let (earliest, rule) = self.timing(&cmd, at).map_err(wrap)?;
+        not_before(earliest, at, rule).map_err(wrap)?;
+        Ok(self.apply(cmd, at))
+    }
+
+    /// Issues `cmd` at `now` if it is legal then, with one timing
+    /// evaluation: [`Self::earliest`] and [`Self::issue`] in one call.
+    /// When it is not legal yet, returns [`TryIssue::NotBefore`] with
+    /// `earliest`'s answer and changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// The structural [`ProtocolError`]s [`Self::earliest`] reports.
+    pub fn try_issue(&mut self, cmd: DramCommand, now: Ns) -> Result<TryIssue, ProtocolError> {
+        let e = self.earliest(&cmd, now)?;
+        if e > now {
+            return Ok(TryIssue::NotBefore(e));
+        }
+        Ok(TryIssue::Issued(self.apply(cmd, now)))
+    }
+
+    /// Runs `f` without counting the timing evaluations it makes in
+    /// [`Self::timing_evals`] — for cross-checks that repeat work the
+    /// engine already did.
+    pub fn uncounted<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let evals = self.timing_evals();
+        let out = f(self);
+        self.state.set_timing_evals(evals);
+        out
+    }
+
+    /// Timing evaluations so far: every `earliest_*` call of the timing
+    /// state, including the one in each issue. Host-side work, kept out
+    /// of every counter set, report and telemetry sample; never reset.
+    pub fn timing_evals(&self) -> u64 {
+        self.state.timing_evals()
+    }
+
+    /// Applies `cmd` at `at`, which its timing evaluation allowed: the
+    /// state change (auto-precharge included), running totals, command
+    /// bus and trace.
+    fn apply(&mut self, cmd: DramCommand, at: Ns) -> Option<Completion> {
         let completion = match cmd {
             DramCommand::Activate { bank, row, slice } => {
-                self.state.activate(bank.channel, bank.bank, row, slice, at).map_err(wrap)?;
+                self.state.apply_activate(bank.channel, bank.bank, row, slice, at);
+                self.totals.activates += 1;
                 None
             }
-            DramCommand::Read { bank, row, col, auto_precharge, req } => {
-                let slice = self.slice_of(col);
-                let out = self
-                    .state
-                    .column(bank.channel, bank.bank, row, slice, false, at)
-                    .map_err(wrap)?;
-                if auto_precharge {
-                    self.auto_precharge(bank.channel, bank.bank, row, slice);
+            DramCommand::Read { bank, row, col, auto_precharge, req }
+            | DramCommand::Write { bank, row, col, auto_precharge, req } => {
+                let (ch, b, slice, is_write) =
+                    (bank.channel, bank.bank, self.slice_of(col), is_write_cmd(&cmd));
+                let out = self.state.apply_column(ch, b, row, slice, is_write, at);
+                if is_write {
+                    self.totals.write_atoms += 1;
+                } else {
+                    self.totals.read_atoms += 1;
                 }
-                Some(Completion { req, at: out.data_end, is_write: false })
-            }
-            DramCommand::Write { bank, row, col, auto_precharge, req } => {
-                let slice = self.slice_of(col);
-                let out = self
-                    .state
-                    .column(bank.channel, bank.bank, row, slice, true, at)
-                    .map_err(wrap)?;
                 if auto_precharge {
-                    self.auto_precharge(bank.channel, bank.bank, row, slice);
+                    self.state.apply_auto_precharge(ch, b, row, slice);
+                    self.totals.precharges += 1;
                 }
-                Some(Completion { req, at: out.data_end, is_write: true })
+                Some(Completion { req, at: out.data_end, is_write })
             }
-            DramCommand::Precharge { bank, row, slice } => {
-                self.issue_precharge(bank.channel, bank.bank, row, slice, at).map_err(wrap)?;
+            DramCommand::Precharge { bank, row: Some(row), slice } => {
+                self.state.apply_precharge(bank.channel, bank.bank, row, slice, at);
+                self.totals.precharges += 1;
+                None
+            }
+            DramCommand::Precharge { bank, row: None, .. } => {
+                self.totals.precharges +=
+                    self.state.apply_precharge_all(bank.channel, bank.bank, at);
                 None
             }
             DramCommand::Refresh { channel } => {
-                self.state.refresh(channel, at).map_err(wrap)?;
+                self.state.apply_refresh(channel, at);
+                self.totals.refreshes += 1;
                 None
             }
         };
-        let after = self.state.counters(chx);
-        self.totals.activates += after.activates - before.activates;
-        self.totals.read_atoms += after.read_atoms - before.read_atoms;
-        self.totals.write_atoms += after.write_atoms - before.write_atoms;
-        self.totals.refreshes += after.refreshes - before.refreshes;
-        self.totals.precharges += after.precharges - before.precharges;
         self.occupy_cmd_slot(&cmd, at);
         if let Some(t) = &mut self.trace {
             t.push(TimedCommand { at, cmd });
         }
-        Ok(completion)
+        completion
     }
+}
 
-    fn issue_precharge(
-        &mut self,
-        channel: u32,
-        bank: u32,
-        row: Option<u32>,
-        slice: u32,
-        at: Ns,
-    ) -> Result<(), Reject> {
-        match row {
-            Some(r) => self.state.precharge(channel, bank, r, slice, at),
-            None => {
-                // Validate all slots are ready before mutating any.
-                let mut any = false;
-                for o in self.state.open_rows(channel, bank) {
-                    any = true;
-                    let e = self.state.earliest_pre(channel, bank, o.row, o.slice, at)?;
-                    if at < e {
-                        return Err(Reject { rule: Rule::PreTooEarly, earliest: Some(e) });
-                    }
-                }
-                if !any {
-                    return Err(Reject { rule: Rule::PreNothingOpen, earliest: None });
-                }
-                while let Some(o) = self.state.first_open(channel, bank) {
-                    self.state.precharge(channel, bank, o.row, o.slice, at)?;
-                }
-                Ok(())
-            }
-        }
-    }
+fn is_write_cmd(cmd: &DramCommand) -> bool {
+    matches!(cmd, DramCommand::Write { .. })
+}
 
-    /// Internally schedules the precharge implied by auto-precharge: it
-    /// occurs as soon as tRAS/tRTP/tWR allow, without a command-bus slot.
-    fn auto_precharge(&mut self, channel: u32, bank: u32, row: u32, slice: u32) {
-        if let Ok(at) = self.state.earliest_pre(channel, bank, row, slice, 0) {
-            let _ = self.state.precharge(channel, bank, row, slice, at);
-        }
-    }
+/// What [`DramDevice::try_issue`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TryIssue {
+    /// The command issued, with the data completion of a read or write.
+    Issued(Option<Completion>),
+    /// Not legal before this time; nothing changed.
+    NotBefore(Ns),
 }
 
 #[cfg(test)]

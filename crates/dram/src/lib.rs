@@ -48,6 +48,6 @@ mod telemetry;
 
 pub use channel::{Channel, ChannelCounters, ColOutcome, Reject};
 pub use checker::ProtocolChecker;
-pub use device::DramDevice;
+pub use device::{DramDevice, TryIssue};
 pub use error::{ProtocolError, Rule, ViolationReport};
 pub use state::{DeviceState, OpenRow};

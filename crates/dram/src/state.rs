@@ -27,6 +27,8 @@
 //! and are pinned to it by the differential test in
 //! `tests/soa_differential.rs` plus the byte-identical golden suite.
 
+use std::cell::Cell;
+
 use fgdram_model::config::{DramConfig, TimingParams};
 use fgdram_model::stats::BusyTracker;
 use fgdram_model::units::Ns;
@@ -180,6 +182,9 @@ pub struct DeviceState {
     bank_groups: u32,
     rows_per_subarray: u32,
     timing: TimingParams,
+    /// Timing evaluations (`earliest_*` calls) so far: host-side work, in
+    /// no counter set or report.
+    evals: Cell<u64>,
 
     /// Packed per-slot records (`channels * banks * slots_per_bank`).
     slots: Vec<SlotState>,
@@ -238,6 +243,7 @@ impl DeviceState {
             bank_groups: cfg.bank_groups as u32,
             rows_per_subarray: cfg.rows_per_subarray() as u32,
             timing: cfg.timing,
+            evals: Cell::new(0),
             slots: vec![SlotState::default(); n_slots],
             bank_s: vec![BankState::default(); n_banks],
             ch_s: vec![ChannelState::default(); channels as usize],
@@ -382,6 +388,21 @@ impl DeviceState {
         self.faw_headroom_sum[ch as usize]
     }
 
+    /// Timing evaluations so far: every `earliest_*` call, including the
+    /// one each validating method makes. Never reset.
+    pub(crate) fn timing_evals(&self) -> u64 {
+        self.evals.get()
+    }
+
+    pub(crate) fn set_timing_evals(&self, n: u64) {
+        self.evals.set(n);
+    }
+
+    #[inline]
+    fn count_eval(&self) {
+        self.evals.set(self.evals.get() + 1);
+    }
+
     /// Zeroes every channel's operation counters (end-of-warmup).
     pub fn reset_counters(&mut self) {
         self.counters.iter_mut().for_each(|c| *c = ChannelCounters::default());
@@ -391,7 +412,8 @@ impl DeviceState {
 
     #[inline]
     fn group_of(&self, bank: u32) -> u32 {
-        bank % self.bank_groups
+        // `bank_groups` is a validated power of two.
+        bank & (self.bank_groups - 1)
     }
 
     // ---- tFAW ring (flattened `ActWindow` semantics) -------------------
@@ -406,17 +428,26 @@ impl DeviceState {
         at.max(self.faw_times[base + self.faw_head[ch as usize] as usize] + self.faw_window)
     }
 
+    /// Ring entries still inside the window at `at`, subtracted from the
+    /// cap. Activates are recorded in issue order, which the tRRD fence
+    /// keeps nondecreasing, so the in-window entries are the newest ones:
+    /// walk back from the newest and stop at the first that has aged out.
     #[inline]
     fn faw_free_slots(&self, ch: u32, at: Ns) -> u32 {
         if !self.faw_enabled {
             return self.faw_cap;
         }
-        let base = ch as usize * self.faw_cap as usize;
-        let filled = self.faw_filled[ch as usize] as usize;
-        let in_window = self.faw_times[base..base + filled]
-            .iter()
-            .filter(|&&t| t + self.faw_window > at)
-            .count() as u32;
+        let c = ch as usize;
+        let base = c * self.faw_cap as usize;
+        let mut i = self.faw_head[c];
+        let mut in_window = 0;
+        while in_window < self.faw_filled[c] {
+            i = if i == 0 { self.faw_cap - 1 } else { i - 1 };
+            if self.faw_times[base + i as usize] + self.faw_window <= at {
+                break;
+            }
+            in_window += 1;
+        }
         self.faw_cap - in_window
     }
 
@@ -461,6 +492,7 @@ impl DeviceState {
         slice: u32,
         at: Ns,
     ) -> Result<Ns, Reject> {
+        self.count_eval();
         self.check_bank(bank)?;
         let bi = self.bank_index(ch, bank);
         let slot = self.slot_of(row, slice);
@@ -512,10 +544,14 @@ impl DeviceState {
         slice: u32,
         at: Ns,
     ) -> Result<(), Reject> {
-        let earliest = self.earliest_act(ch, bank, row, slice, at)?;
-        if at < earliest {
-            return Err(Reject { rule: Rule::ActTooEarly, earliest: Some(earliest) });
-        }
+        not_before(self.earliest_act(ch, bank, row, slice, at)?, at, Rule::ActTooEarly)?;
+        self.apply_activate(ch, bank, row, slice, at);
+        Ok(())
+    }
+
+    /// The state change of an activate that [`Self::earliest_act`] allows
+    /// at `at`.
+    pub(crate) fn apply_activate(&mut self, ch: u32, bank: u32, row: u32, slice: u32, at: Ns) {
         let bi = self.bank_index(ch, bank);
         let slot = self.slot_of(row, slice);
         let si = self.slot_base(bi) + slot as usize;
@@ -547,7 +583,6 @@ impl DeviceState {
         self.faw_record(ch, at);
         self.counters[c].activates += 1;
         self.bank_activates[bi] += 1;
-        Ok(())
     }
 
     // ---- column --------------------------------------------------------
@@ -567,6 +602,7 @@ impl DeviceState {
         is_write: bool,
         at: Ns,
     ) -> Result<Ns, Reject> {
+        self.count_eval();
         self.check_bank(bank)?;
         let bi = self.bank_index(ch, bank);
         let slot = self.slot_of(row, slice);
@@ -619,10 +655,21 @@ impl DeviceState {
         is_write: bool,
         at: Ns,
     ) -> Result<ColOutcome, Reject> {
-        let earliest = self.earliest_col(ch, bank, row, slice, is_write, at)?;
-        if at < earliest {
-            return Err(Reject { rule: Rule::ColCcd, earliest: Some(earliest) });
-        }
+        not_before(self.earliest_col(ch, bank, row, slice, is_write, at)?, at, Rule::ColCcd)?;
+        Ok(self.apply_column(ch, bank, row, slice, is_write, at))
+    }
+
+    /// The state change of a column command that [`Self::earliest_col`]
+    /// allows at `at`.
+    pub(crate) fn apply_column(
+        &mut self,
+        ch: u32,
+        bank: u32,
+        row: u32,
+        slice: u32,
+        is_write: bool,
+        at: Ns,
+    ) -> ColOutcome {
         let c = ch as usize;
         let group = self.group_of(bank);
         let latency = if is_write { self.timing.t_wl } else { self.timing.t_cl };
@@ -651,7 +698,7 @@ impl DeviceState {
             s.earliest_pre = s.earliest_pre.max(at + self.timing.t_rtp);
             self.counters[c].read_atoms += 1;
         }
-        Ok(ColOutcome { data_start, data_end })
+        ColOutcome { data_start, data_end }
     }
 
     // ---- precharge -----------------------------------------------------
@@ -670,6 +717,7 @@ impl DeviceState {
         slice: u32,
         at: Ns,
     ) -> Result<Ns, Reject> {
+        self.count_eval();
         self.check_bank(bank)?;
         let bi = self.bank_index(ch, bank);
         let slot = self.slot_of(row, slice);
@@ -678,6 +726,22 @@ impl DeviceState {
         }
         let t = self.slots[self.slot_base(bi) + slot as usize].earliest_pre;
         Ok(t.max(at).max(self.ch_s[ch as usize].refresh_until))
+    }
+
+    /// Earliest precharge of every open slot of (`ch`, `bank`) at once:
+    /// the latest of their [`Self::earliest_pre`] times.
+    ///
+    /// # Errors
+    ///
+    /// [`Rule::PreNothingOpen`] / [`Rule::OutOfRange`].
+    pub(crate) fn earliest_pre_all(&self, ch: u32, bank: u32, at: Ns) -> Result<Ns, Reject> {
+        self.count_eval();
+        self.check_bank(bank)?;
+        if !self.any_open(ch, bank) {
+            return Err(Reject::structural(Rule::PreNothingOpen));
+        }
+        let t = self.open_rows(ch, bank).map(|o| o.earliest_pre).fold(at, Ns::max);
+        Ok(t.max(self.ch_s[ch as usize].refresh_until))
     }
 
     /// Issues a precharge.
@@ -693,10 +757,14 @@ impl DeviceState {
         slice: u32,
         at: Ns,
     ) -> Result<(), Reject> {
-        let earliest = self.earliest_pre(ch, bank, row, slice, at)?;
-        if at < earliest {
-            return Err(Reject { rule: Rule::PreTooEarly, earliest: Some(earliest) });
-        }
+        not_before(self.earliest_pre(ch, bank, row, slice, at)?, at, Rule::PreTooEarly)?;
+        self.apply_precharge(ch, bank, row, slice, at);
+        Ok(())
+    }
+
+    /// The state change of a precharge that [`Self::earliest_pre`] allows
+    /// at `at`.
+    pub(crate) fn apply_precharge(&mut self, ch: u32, bank: u32, row: u32, slice: u32, at: Ns) {
         let bi = self.bank_index(ch, bank);
         let slot = self.slot_of(row, slice);
         let si = self.slot_base(bi) + slot as usize;
@@ -716,7 +784,28 @@ impl DeviceState {
         let s = &mut self.slots[si];
         s.next_act = s.next_act.max(at + self.timing.t_rp);
         self.counters[ch as usize].precharges += 1;
-        Ok(())
+    }
+
+    /// Auto-precharge of the slot a column command just used: it closes as
+    /// soon as tRAS/tRTP/tWR allow, without a command-bus slot. The slot
+    /// is open (the column just used it), so its precharge fence is the
+    /// whole answer — what [`Self::earliest_pre`] would return for
+    /// `at = 0`, without a second evaluation.
+    pub(crate) fn apply_auto_precharge(&mut self, ch: u32, bank: u32, row: u32, slice: u32) {
+        let si = self.slot_base(self.bank_index(ch, bank)) + self.slot_of(row, slice) as usize;
+        let at = self.slots[si].earliest_pre.max(self.ch_s[ch as usize].refresh_until);
+        self.apply_precharge(ch, bank, row, slice, at);
+    }
+
+    /// Closes every open slot of (`ch`, `bank`) at `at`, which
+    /// [`Self::earliest_pre_all`] allows; returns how many it closed.
+    pub(crate) fn apply_precharge_all(&mut self, ch: u32, bank: u32, at: Ns) -> u64 {
+        let mut closed = 0;
+        while let Some(o) = self.first_open(ch, bank) {
+            self.apply_precharge(ch, bank, o.row, o.slice, at);
+            closed += 1;
+        }
+        closed
     }
 
     // ---- refresh -------------------------------------------------------
@@ -727,6 +816,7 @@ impl DeviceState {
     ///
     /// [`Rule::RefreshConflict`] while any row is open.
     pub fn earliest_refresh(&self, ch: u32, at: Ns) -> Result<Ns, Reject> {
+        self.count_eval();
         if self.ch_s[ch as usize].open_count > 0 {
             return Err(Reject::structural(Rule::RefreshConflict));
         }
@@ -739,10 +829,14 @@ impl DeviceState {
     ///
     /// Everything `earliest_refresh` rejects.
     pub fn refresh(&mut self, ch: u32, at: Ns) -> Result<(), Reject> {
-        let earliest = self.earliest_refresh(ch, at)?;
-        if at < earliest {
-            return Err(Reject { rule: Rule::RefreshConflict, earliest: Some(earliest) });
-        }
+        not_before(self.earliest_refresh(ch, at)?, at, Rule::RefreshConflict)?;
+        self.apply_refresh(ch, at);
+        Ok(())
+    }
+
+    /// The state change of a refresh that [`Self::earliest_refresh`]
+    /// allows at `at`.
+    pub(crate) fn apply_refresh(&mut self, ch: u32, at: Ns) {
         let until = at + self.timing.t_rfc;
         let base = self.slot_base(self.bank_index(ch, 0));
         let len = (self.banks * self.slots_per_bank) as usize;
@@ -751,6 +845,15 @@ impl DeviceState {
         }
         self.ch_s[ch as usize].refresh_until = until;
         self.counters[ch as usize].refreshes += 1;
+    }
+}
+
+/// `Ok` when `at` is at or after `earliest`, else `rule` with the time it
+/// would have to wait for.
+pub(crate) fn not_before(earliest: Ns, at: Ns, rule: Rule) -> Result<(), Reject> {
+    if at < earliest {
+        Err(Reject { rule, earliest: Some(earliest) })
+    } else {
         Ok(())
     }
 }

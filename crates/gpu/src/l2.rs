@@ -32,14 +32,12 @@ pub enum L2Access {
     Blocked,
 }
 
+/// One way's sector state, kept beside the tag and LRU arrays.
 #[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    sector_valid: u8,
-    sector_dirty: u8,
+struct Sectors {
+    valid: u8,
+    dirty: u8,
     pending_fills: u8,
-    lru: u64,
 }
 
 /// L2 statistics.
@@ -95,9 +93,18 @@ impl L2Stats {
 #[derive(Debug)]
 pub struct L2Cache {
     cfg: L2Config,
-    sets: usize,
     ways: usize,
-    lines: Vec<Line>,
+    /// `sets - 1`; the set, line and sector counts are powers of two, so
+    /// the per-access index math is shifts and masks.
+    set_mask: usize,
+    line_shift: u32,
+    sector_shift: u32,
+    /// Per way, set-major: `line address + 1`, 0 for an invalid way. A
+    /// lookup reads only its set's tags (128 B at 16 ways).
+    tags: Vec<u64>,
+    /// Per way: the access clock of its last touch.
+    lru: Vec<u64>,
+    sectors: Vec<Sectors>,
     /// Outstanding fills: sector address to its entry's index in
     /// `waiters`. Sized for `waiters.len()` entries, so miss/fill churn
     /// never reallocates it.
@@ -114,14 +121,26 @@ pub struct L2Cache {
 
 impl L2Cache {
     /// Builds an empty cache with `mshr_capacity` outstanding fills.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the line size, sector size and set count are powers
+    /// of two.
     pub fn new(cfg: L2Config, mshr_capacity: usize) -> Self {
         let sets = cfg.sets();
         let ways = cfg.ways;
+        assert!(cfg.line_bytes.is_power_of_two(), "L2 line bytes must be a power of two");
+        assert!(cfg.sector_bytes.is_power_of_two(), "L2 sector bytes must be a power of two");
+        assert!(sets.is_power_of_two(), "L2 set count must be a power of two, not {sets}");
         L2Cache {
             cfg,
-            sets,
             ways,
-            lines: vec![Line::default(); sets * ways],
+            set_mask: sets - 1,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            sector_shift: cfg.sector_bytes.trailing_zeros(),
+            tags: vec![0; sets * ways],
+            lru: vec![0; sets * ways],
+            sectors: vec![Sectors::default(); sets * ways],
             mshr: FlatMap::with_bound(mshr_capacity),
             waiters: (0..mshr_capacity).map(|_| Vec::with_capacity(16)).collect(),
             free: (0..mshr_capacity as u32).collect(),
@@ -155,19 +174,27 @@ impl L2Cache {
 
     #[inline]
     fn line_addr(&self, addr: PhysAddr) -> u64 {
-        addr.0 / self.cfg.line_bytes
+        addr.0 >> self.line_shift
     }
 
     #[inline]
     fn sector_index(&self, addr: PhysAddr) -> u8 {
-        ((addr.0 % self.cfg.line_bytes) / self.cfg.sector_bytes) as u8
+        ((addr.0 & (self.cfg.line_bytes - 1)) >> self.sector_shift) as u8
     }
 
     #[inline]
     fn set_of(&self, line_addr: u64) -> usize {
         // Mix upper bits in so power-of-two strides don't camp on one set.
         let h = line_addr ^ (line_addr >> 11) ^ (line_addr >> 23);
-        (h as usize) % self.sets
+        (h as usize) & self.set_mask
+    }
+
+    /// The first way of `set` tagged `tag` (`line address + 1`, or 0 for
+    /// an invalid way), if any: a scan of the set's tags alone.
+    #[inline]
+    fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        self.tags[base..base + self.ways].iter().position(|&t| t == tag).map(|w| base + w)
     }
 
     /// Accesses one 32 B sector. `token` identifies the waiter to wake on
@@ -177,74 +204,57 @@ impl L2Cache {
         let line_addr = self.line_addr(sector);
         let set = self.set_of(line_addr);
         let bit = 1u8 << self.sector_index(sector);
+        let tag = line_addr + 1;
         self.lru_clock += 1;
-        let base = set * self.ways;
 
         // Present line?
-        if let Some(w) = (0..self.ways)
-            .find(|&w| self.lines[base + w].valid && self.lines[base + w].tag == line_addr)
-        {
-            let line = &mut self.lines[base + w];
-            line.lru = self.lru_clock;
+        if let Some(i) = self.find_way(set, tag) {
+            self.lru[i] = self.lru_clock;
+            let s = &mut self.sectors[i];
             if is_store {
-                line.sector_valid |= bit;
-                line.sector_dirty |= bit;
+                s.valid |= bit;
+                s.dirty |= bit;
                 self.stats.stores.incr();
                 return L2Access::StoreDone;
             }
-            if line.sector_valid & bit != 0 {
+            if s.valid & bit != 0 {
                 self.stats.hits.incr();
                 return L2Access::Hit;
             }
-            return self.fill_sector(base + w, sector, token);
+            return self.fill_sector(i, sector, token);
         }
 
         // Miss: find a victim (invalid first, then LRU among unpinned).
-        let victim = (0..self.ways).find(|&w| !self.lines[base + w].valid).or_else(|| {
-            (0..self.ways)
-                .filter(|&w| self.lines[base + w].pending_fills == 0)
-                .min_by_key(|&w| self.lines[base + w].lru)
+        let victim = self.find_way(set, 0).or_else(|| {
+            (set * self.ways..(set + 1) * self.ways)
+                .filter(|&i| self.sectors[i].pending_fills == 0)
+                .min_by_key(|&i| self.lru[i])
         });
-        let Some(w) = victim else {
+        let Some(i) = victim else {
             self.stats.blocked.incr();
             return L2Access::Blocked;
         };
-        let line = &mut self.lines[base + w];
-        if line.valid {
+        if self.tags[i] != 0 {
             self.stats.evictions.incr();
-            let dirty = line.sector_dirty;
+            let dirty = self.sectors[i].dirty;
             if dirty != 0 {
                 self.stats.writeback_sectors.add(dirty.count_ones() as u64);
+                // Stash the writeback sectors for the caller to collect.
+                self.pending_writebacks(self.tags[i] - 1, dirty);
             }
         }
-        let evicted = if line.valid && line.sector_dirty != 0 {
-            Some((line.tag, line.sector_dirty))
-        } else {
-            None
-        };
-        *line = Line {
-            tag: line_addr,
-            valid: true,
-            sector_valid: 0,
-            sector_dirty: 0,
-            pending_fills: 0,
-            lru: self.lru_clock,
-        };
-        // Stash the writeback sectors for the caller to collect.
-        if let Some((tag, dirty)) = evicted {
-            self.pending_writebacks(tag, dirty);
-        }
+        self.tags[i] = tag;
+        self.lru[i] = self.lru_clock;
         if is_store {
-            let line = &mut self.lines[base + w];
-            line.sector_valid |= bit;
-            line.sector_dirty |= bit;
+            self.sectors[i] = Sectors { valid: bit, dirty: bit, pending_fills: 0 };
             self.stats.stores.incr();
             return L2Access::StoreDone;
         }
-        self.fill_sector(base + w, sector, token)
+        self.sectors[i] = Sectors::default();
+        self.fill_sector(i, sector, token)
     }
 
-    fn fill_sector(&mut self, line_idx: usize, sector: PhysAddr, token: u64) -> L2Access {
+    fn fill_sector(&mut self, way: usize, sector: PhysAddr, token: u64) -> L2Access {
         if let Some(entry) = self.mshr.get(sector.0) {
             self.waiters[entry as usize].push(token);
             self.stats.merges.incr();
@@ -256,13 +266,13 @@ impl L2Cache {
         };
         self.waiters[entry as usize].push(token);
         self.mshr.insert(sector.0, entry);
-        self.lines[line_idx].pending_fills += 1;
+        self.sectors[way].pending_fills += 1;
         self.stats.misses.incr();
         L2Access::Miss { fill: sector }
     }
 
-    fn pending_writebacks(&mut self, tag: u64, dirty: u8) {
-        let line_base = tag * self.cfg.line_bytes;
+    fn pending_writebacks(&mut self, line_addr: u64, dirty: u8) {
+        let line_base = line_addr << self.line_shift;
         for s in 0..self.cfg.sectors_per_line() as u64 {
             if dirty & (1 << s) != 0 {
                 self.writebacks.push(PhysAddr(line_base + s * self.cfg.sector_bytes));
@@ -302,15 +312,11 @@ impl L2Cache {
             return;
         };
         let line_addr = self.line_addr(sector);
-        let set = self.set_of(line_addr);
-        let base = set * self.ways;
         let bit = 1u8 << self.sector_index(sector);
-        if let Some(w) = (0..self.ways)
-            .find(|&w| self.lines[base + w].valid && self.lines[base + w].tag == line_addr)
-        {
-            let line = &mut self.lines[base + w];
-            line.sector_valid |= bit;
-            line.pending_fills = line.pending_fills.saturating_sub(1);
+        if let Some(i) = self.find_way(self.set_of(line_addr), line_addr + 1) {
+            let s = &mut self.sectors[i];
+            s.valid |= bit;
+            s.pending_fills = s.pending_fills.saturating_sub(1);
         }
         out.extend_from_slice(&self.waiters[entry as usize]);
         self.waiters[entry as usize].clear();
@@ -421,6 +427,14 @@ mod tests {
         c.access(PhysAddr(0), false, 2); // hit
         let hr = c.stats().hit_rate();
         assert!((hr - 2.0 / 3.0).abs() < 1e-9, "{hr}");
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 set count must be a power of two, not 3")]
+    fn a_set_count_that_is_no_power_of_two_is_rejected() {
+        let cfg = L2Config { capacity_bytes: 3 * 4 * 128, ways: 4, ..L2Config::default() };
+        assert_eq!(cfg.sets(), 3);
+        let _ = L2Cache::new(cfg, 64);
     }
 
     #[test]

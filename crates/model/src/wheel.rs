@@ -165,8 +165,12 @@ impl<T: Ord + Copy> EventWheel<T> {
 
     /// The earliest scheduled time, if any. Mutation-free.
     pub fn next_time(&self) -> Option<Ns> {
-        let over = self.overflow.peek().map(|&Reverse((t, _))| t);
-        [self.batch_time(), self.min_wheel_time(), over].into_iter().flatten().min()
+        // The three stores are ordered: a live batch is at `base`, below
+        // every slot entry, and every slot entry is below `base + W`, where
+        // the overflow starts (see `batch`, `push`, `advance_base`).
+        self.batch_time()
+            .or_else(|| self.min_wheel_time())
+            .or_else(|| self.overflow.peek().map(|&Reverse((t, _))| t))
     }
 
     /// The time all entries of the live batch share, if there is one.

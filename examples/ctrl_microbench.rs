@@ -8,8 +8,9 @@
 //! repo benchmark does — 20 000 ns warm-up, then a 30 000 ns window.
 //!
 //! Either way it also prints the scheduler's host-side work per simulated
-//! ns (ROADMAP item 4a): passes run, passes that issued nothing, and due
-//! channels re-armed without a pass.
+//! ns: passes run, passes that issued nothing, and due channels re-armed
+//! without a pass; and the device timing evaluations (`earliest` probes
+//! and the checks inside issues) per issued controller command.
 
 use fgdram::core::SystemBuilder;
 use fgdram::ctrl::{Controller, CtrlStats};
@@ -20,13 +21,18 @@ use fgdram::model::rng::SmallRng;
 use fgdram::model::units::{GbPerSec, Ns};
 use fgdram::workloads::suites;
 
-fn print_scheduler_work(s: &CtrlStats, window: Ns) {
+fn print_scheduler_work(s: &CtrlStats, window: Ns, timing_evals: u64) {
     let per_ns = |c: u64| c as f64 / window as f64;
     println!(
         "per simulated ns: {:.1} passes, {:.1} idle passes, {:.1} re-arms",
         per_ns(s.passes.get()),
         per_ns(s.idle_passes.get()),
         per_ns(s.rearmed.get()),
+    );
+    println!(
+        "timing evaluations per issued command: {:.2} ({} commands)",
+        timing_evals as f64 / s.commands().max(1) as f64,
+        s.commands(),
     );
 }
 
@@ -43,9 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut sys = SystemBuilder::new(kind).workload(w).build()?;
         sys.run_for(warmup)?;
         sys.reset_stats();
+        let evals = sys.device().timing_evals();
         sys.run_for(window)?;
+        let evals = sys.device().timing_evals() - evals;
         println!("{pattern} on {kind}, {window} ns after a {warmup} ns warm-up");
-        print_scheduler_work(sys.controller().stats(), window);
+        print_scheduler_work(sys.controller().stats(), window, evals);
         return Ok(());
     }
     let cfg = DramConfig::new(kind);
@@ -112,6 +120,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         k.activates,
         ctrl.stats().hit_rate() * 100.0,
     );
-    print_scheduler_work(ctrl.stats(), window);
+    print_scheduler_work(ctrl.stats(), window, dev.timing_evals());
     Ok(())
 }

@@ -1,16 +1,11 @@
 //! Internal diagnostic: run one workload/architecture and dump all stats.
+//!
+//! Usage: cargo run --release --example probe -- [app] [fg|hbm2|salp|qb]
+//! [--no-writes] [--no-refresh] [--deep-queues] [--atom128 | --deepbg]
+//! [--wave=N]
 use fgdram::core::SystemBuilder;
-use fgdram::model::config::DramKind;
+use fgdram::model::config::{CtrlConfig, DramConfig, DramKind, GpuConfig};
 use fgdram::workloads::suites;
-
-fn builder_dram(kind: &DramKind) -> &'static fgdram::model::config::DramConfig {
-    use std::sync::OnceLock;
-    static CELL: OnceLock<Vec<fgdram::model::config::DramConfig>> = OnceLock::new();
-    let v = CELL.get_or_init(|| {
-        DramKind::ALL.iter().map(|k| fgdram::model::config::DramConfig::new(*k)).collect()
-    });
-    v.iter().find(|c| c.kind == *kind).unwrap()
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "STREAM".into());
@@ -21,20 +16,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         _ => DramKind::QbHbm,
     };
     let mut w = suites::by_name(&name).ok_or("unknown workload")?;
-    let mut gpu_cfg = fgdram::model::config::GpuConfig::default();
-    let mut ctrl_cfg = fgdram::model::config::CtrlConfig::default();
+    let mut gpu_cfg = GpuConfig::default();
+    let mut dram_cfg = DramConfig::new(kind);
+    let (mut no_refresh, mut deep_queues) = (false, false);
     for arg in std::env::args().skip(3) {
         match arg.as_str() {
             "--no-writes" => w.write_fraction = 0.0,
-            "--no-refresh" => ctrl_cfg.refresh_enabled = false,
-            "--deep-queues" => {
-                ctrl_cfg.read_queue_depth = 256;
-                ctrl_cfg.write_buffer_depth = 256;
-                ctrl_cfg.write_high_watermark = 192;
-                ctrl_cfg.write_low_watermark = 64;
-                ctrl_cfg.reorder_window = 64;
-            }
-            "--atom128" | "--deepbg" => {}
+            "--no-refresh" => no_refresh = true,
+            "--deep-queues" => deep_queues = true,
+            "--atom128" => dram_cfg = DramConfig::qb_hbm_atom128(),
+            "--deepbg" => dram_cfg = DramConfig::qb_hbm_deep_bank_groups(),
             other => {
                 if let Some(v) = other.strip_prefix("--wave=") {
                     gpu_cfg.wave_window = v.parse()?;
@@ -44,19 +35,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    let mut builder = SystemBuilder::new(kind).workload(w).gpu_config(gpu_cfg);
-    if std::env::args().any(|a| a == "--atom128") {
-        builder = builder.dram_config(fgdram::model::config::DramConfig::qb_hbm_atom128());
+    // The controller policy of the DRAM config in use, with the flags on top.
+    let mut ctrl_cfg = CtrlConfig::for_dram(&dram_cfg);
+    if no_refresh {
+        ctrl_cfg.refresh_enabled = false;
     }
-    if std::env::args().any(|a| a == "--deepbg") {
-        builder = builder.dram_config(fgdram::model::config::DramConfig::qb_hbm_deep_bank_groups());
+    if deep_queues {
+        ctrl_cfg.read_queue_depth = 256;
+        ctrl_cfg.write_buffer_depth = 256;
+        ctrl_cfg.write_high_watermark = 192;
+        ctrl_cfg.write_low_watermark = 64;
+        ctrl_cfg.reorder_window = 64;
     }
-    if std::env::args().any(|a| a == "--no-refresh") {
-        let mut c = fgdram::model::config::CtrlConfig::for_dram(builder_dram(&kind));
-        c.refresh_enabled = false;
-        builder = builder.ctrl_config(c);
-    }
-    let _ = ctrl_cfg;
+    let builder = SystemBuilder::new(kind)
+        .workload(w)
+        .gpu_config(gpu_cfg)
+        .dram_config(dram_cfg)
+        .ctrl_config(ctrl_cfg);
     let mut sys = builder.build()?;
     sys.run_for(20_000)?;
     sys.reset_stats();

@@ -4,7 +4,7 @@
 //! the device must reject anything issued before its own `earliest` time.
 //! Schedules are drawn from the repo's seeded PRNG, so runs reproduce.
 
-use fgdram::dram::{DramDevice, ProtocolChecker, Rule};
+use fgdram::dram::{DramDevice, ProtocolChecker, Rule, TryIssue};
 use fgdram::model::addr::ReqId;
 use fgdram::model::cmd::{BankRef, DramCommand};
 use fgdram::model::config::{DramConfig, DramKind};
@@ -139,4 +139,166 @@ fn random_schedules_agree_with_checker_salp() {
 #[test]
 fn random_schedules_agree_with_checker_hbm2() {
     random_schedules_agree_with_checker(DramKind::Hbm2, 0xD3A1_0004, 40, 100);
+}
+
+/// The channels a differential stream uses: four grains of one FGDRAM
+/// command channel, so they contend for its row and column buses.
+const DIFF_CHANNELS: u32 = 4;
+
+/// A random command for `dev`'s current state: activates over rows that
+/// share and split subarrays, columns and precharges mostly on open rows,
+/// precharge-all, refresh, and now and then an out-of-range bank.
+fn random_command(dev: &DramDevice, r: &mut SmallRng) -> DramCommand {
+    let cfg = dev.config();
+    let channel = r.random_range(0..DIFF_CHANNELS.min(cfg.channels as u32) as u64) as u32;
+    let banks = cfg.banks_per_channel as u64 + u64::from(r.random_range(0..50) == 0);
+    let bank = BankRef { channel, bank: r.random_range(0..banks) as u32 };
+    let open = dev
+        .channel(channel)
+        .bank(bank.bank)
+        .open_rows()
+        .nth(r.random_range(0..2) as usize)
+        .map(|o| (o.row, o.slice));
+    let apa = cfg.atoms_per_activation();
+    match r.random_range(0..10) {
+        0..=3 => DramCommand::Activate {
+            bank,
+            row: ((r.random_range(0..12) * 1031 + r.random_range(0..2)) % cfg.rows_per_bank as u64)
+                as u32,
+            slice: r.random_range(0..cfg.slices_per_row()) as u32,
+        },
+        4..=6 => {
+            let (row, slice) = open.unwrap_or((1, 0));
+            let col = (u64::from(slice) * apa + r.random_range(0..apa)) as u32;
+            let (auto_precharge, req) = (r.random_bool(0.3), ReqId(r.next_u64()));
+            if r.random_bool(0.5) {
+                DramCommand::Write { bank, row, col, auto_precharge, req }
+            } else {
+                DramCommand::Read { bank, row, col, auto_precharge, req }
+            }
+        }
+        7..=8 => match open {
+            Some((row, slice)) if r.random_bool(0.8) => {
+                DramCommand::Precharge { bank, row: Some(row), slice }
+            }
+            _ => DramCommand::Precharge { bank, row: None, slice: 0 },
+        },
+        _ => DramCommand::Refresh { channel },
+    }
+}
+
+/// What can be observed of `dev` on the stream's channels: totals and
+/// per-channel counters, bus fences, open rows with their fences, and the
+/// `earliest` answer (or structural rule) for an activate, column,
+/// precharge and refresh probe on every bank, which exposes the hidden
+/// fences (tRRD, tFAW, tCCD, tWTR, row cycle, refresh, data bus).
+fn observe(dev: &DramDevice, now: u64) -> String {
+    use std::fmt::Write;
+    let cfg = dev.config();
+    let probe = |cmd: DramCommand| dev.earliest(&cmd, now).map_err(|e| e.rule);
+    let mut s = format!("{:?}", dev.total_counters());
+    for channel in 0..DIFF_CHANNELS.min(cfg.channels as u32) {
+        let c = dev.channel(channel);
+        let _ = write!(
+            s,
+            "\n{channel}: {:?} faw {} data {} buses {} {} acts {:?} ref {:?}",
+            c.counters(),
+            c.faw_headroom_sum(),
+            c.data_bus().busy_until(),
+            dev.row_bus_free(channel),
+            dev.col_bus_free(channel),
+            c.bank_activates(),
+            probe(DramCommand::Refresh { channel }),
+        );
+        for b in 0..cfg.banks_per_channel as u32 {
+            let bank = BankRef { channel, bank: b };
+            let _ = write!(
+                s,
+                "\n  {b}: act {:?} {:?} pre-all {:?}",
+                probe(DramCommand::Activate { bank, row: 0, slice: 0 }),
+                probe(DramCommand::Activate { bank, row: 3 * 1031, slice: 0 }),
+                probe(DramCommand::Precharge { bank, row: None, slice: 0 }),
+            );
+            for o in c.bank(b).open_rows() {
+                let (row, col) = (o.row, o.slice * cfg.atoms_per_activation() as u32);
+                let _ = write!(
+                    s,
+                    " {o:?} rd {:?} wr {:?} pre {:?}",
+                    probe(DramCommand::Read {
+                        bank,
+                        row,
+                        col,
+                        auto_precharge: false,
+                        req: ReqId(0)
+                    }),
+                    probe(DramCommand::Write {
+                        bank,
+                        row,
+                        col,
+                        auto_precharge: false,
+                        req: ReqId(0)
+                    }),
+                    probe(DramCommand::Precharge { bank, row: Some(row), slice: o.slice }),
+                );
+            }
+        }
+    }
+    s
+}
+
+/// `try_issue` is `earliest` then `issue`: two devices driven through the
+/// same random stream, one each way, agree on every outcome and on every
+/// observable bit of state after every command, and a `try_issue` that is
+/// not yet legal changes nothing.
+fn try_issue_matches_earliest_then_issue(name: &str, cfg: DramConfig, seed: u64, steps: usize) {
+    let mut r = SmallRng::seed_from_u64(seed);
+    let (mut one, mut two) = (DramDevice::new(cfg.clone()), DramDevice::new(cfg));
+    one.enable_trace();
+    two.enable_trace();
+    let mut now = 0;
+    let (mut issued, mut waited) = (0, 0);
+    let mut retry = None;
+    for step in 0..steps {
+        let cmd = retry.take().unwrap_or_else(|| random_command(&one, &mut r));
+        let before = observe(&one, now);
+        let got = one.try_issue(cmd, now);
+        let want = match two.earliest(&cmd, now) {
+            Ok(e) if e <= now => two.issue(cmd, now).map(TryIssue::Issued),
+            Ok(e) => Ok(TryIssue::NotBefore(e)),
+            Err(err) => Err(err),
+        };
+        assert_eq!(got, want, "{name} step {step}: {cmd:?} at {now}");
+        match got {
+            Ok(TryIssue::Issued(_)) => issued += 1,
+            Ok(TryIssue::NotBefore(e)) => {
+                waited += 1;
+                assert_eq!(observe(&one, now), before, "{name} step {step}: a wait changed state");
+                // Half the time, come back when it is legal.
+                if r.random_bool(0.5) {
+                    (now, retry) = (e, Some(cmd));
+                }
+            }
+            Err(_) => {}
+        }
+        assert_eq!(one.take_trace(), two.take_trace(), "{name} step {step}: traces");
+        assert_eq!(observe(&one, now), observe(&two, now), "{name} step {step}: state");
+        now += r.random_range(0..4);
+    }
+    assert!(issued > steps / 5 && waited > steps / 100, "{name}: {issued} issued, {waited} waited");
+}
+
+#[test]
+fn try_issue_matches_earliest_then_issue_on_every_kind_and_ablation() {
+    let ablations = [
+        DramConfig::qb_hbm_atom128(),
+        DramConfig::qb_hbm_deep_bank_groups(),
+        DramConfig::fgdram_non_stacked(),
+        DramConfig::qb_hbm_salp_only(),
+        DramConfig::qb_hbm_subchannels_only(),
+    ];
+    let configs = DramKind::ALL.into_iter().map(DramConfig::new).chain(ablations);
+    for (i, cfg) in configs.enumerate() {
+        let name = format!("config {i} ({:?})", cfg.kind);
+        try_issue_matches_earliest_then_issue(&name, cfg, 0x7E55_0000 + i as u64, 2_000);
+    }
 }

@@ -380,3 +380,21 @@ fn gups_on_fgdram_runs_few_idle_passes() {
         s.passes.get()
     );
 }
+
+/// Each issued command costs one timing evaluation beyond the scheduler's
+/// column probes: `try_issue` evaluates once where `earliest` then `issue`
+/// evaluated twice, and an auto-precharge reads its slot's fence instead
+/// of evaluating again (the parent tree read 5.77 per command here).
+#[test]
+fn gups_on_fgdram_evaluates_timing_once_per_issued_command() {
+    let w = suites::by_name("GUPS").expect("in suite");
+    let mut sys = SystemBuilder::new(DramKind::Fgdram).workload(w).build().expect("builds");
+    sys.run_for(20_000).expect("warm-up runs");
+    sys.reset_stats();
+    let before = sys.device().timing_evals();
+    sys.run_for(10_000).expect("window runs");
+    let evals = sys.device().timing_evals() - before;
+    let commands = sys.controller().stats().commands();
+    let per_command = evals as f64 / commands as f64;
+    assert!(per_command <= 3.8, "{per_command:.3} evaluations per command ({evals} / {commands})");
+}
