@@ -4,8 +4,8 @@
 //! a workload list across architectures at a chosen [`Scale`]; analytic
 //! figures (1a, Table 2, Table 3, area) come straight from the models.
 //! The root package's `regen-experiments` binary renders these into
-//! `EXPERIMENTS.md`; the Criterion benches exercise the same entry points
-//! at [`Scale::quick`].
+//! `EXPERIMENTS.md`; `tests/golden_identity.rs` pins the same entry points
+//! at [`Scale::quick`] byte for byte.
 
 use fgdram_energy::area::AreaModel;
 use fgdram_energy::budget::{self, BudgetPoint, TechPoint};

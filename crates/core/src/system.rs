@@ -410,16 +410,8 @@ impl System {
     /// Call after [`Self::reset_stats`] so epoch 0 starts from zeroed
     /// counters; collect the series with [`Self::finish_telemetry`].
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
-        self.update_watchdog_slack();
         let mut rec = Recorder::new(cfg);
-        let es = EnergySampler { meter: &self.meter, dev: &self.dev, activity: self.activity };
-        let mut sources: Vec<&dyn Sampled> = vec![&self.ctrl, &self.dev, &self.gpu, &self.l2, &es];
-        // The faults component is appended only when the engine is engaged,
-        // so fault-free telemetry schemas are unchanged.
-        if let Some(f) = &self.faults {
-            sources.push(f);
-        }
-        rec.start(self.now, &sources);
+        self.with_sources(|now, sources| rec.start(now, sources));
         self.telemetry = Some(rec);
     }
 
@@ -427,14 +419,8 @@ impl System {
     /// (`None` when telemetry was never enabled). Telemetry is disabled
     /// afterwards.
     pub fn finish_telemetry(&mut self) -> Option<Telemetry> {
-        self.update_watchdog_slack();
         let rec = self.telemetry.take()?;
-        let es = EnergySampler { meter: &self.meter, dev: &self.dev, activity: self.activity };
-        let mut sources: Vec<&dyn Sampled> = vec![&self.ctrl, &self.dev, &self.gpu, &self.l2, &es];
-        if let Some(f) = &self.faults {
-            sources.push(f);
-        }
-        Some(rec.finish(self.now, &sources))
+        Some(self.with_sources(|now, sources| rec.finish(now, sources)))
     }
 
     /// Samples any epoch boundaries crossed by the last step. Exactness:
@@ -444,18 +430,23 @@ impl System {
     /// events occur between steps, and events at exactly B belong to the
     /// epoch starting at B.
     fn poll_telemetry(&mut self) {
-        if self.telemetry.is_none() {
-            return;
-        }
-        self.update_watchdog_slack();
         let Some(mut rec) = self.telemetry.take() else { return };
+        self.with_sources(|now, sources| rec.poll(now, sources));
+        self.telemetry = Some(rec);
+    }
+
+    /// Calls `f` with the current time and the telemetry sources, in
+    /// schema order, after refreshing the watchdog-slack gauge.
+    fn with_sources<R>(&mut self, f: impl FnOnce(Ns, &[&dyn Sampled]) -> R) -> R {
+        self.update_watchdog_slack();
         let es = EnergySampler { meter: &self.meter, dev: &self.dev, activity: self.activity };
         let mut sources: Vec<&dyn Sampled> = vec![&self.ctrl, &self.dev, &self.gpu, &self.l2, &es];
-        if let Some(f) = &self.faults {
-            sources.push(f);
+        // The faults component is appended only when the engine is engaged,
+        // so fault-free telemetry schemas are unchanged.
+        if let Some(faults) = &self.faults {
+            sources.push(faults);
         }
-        rec.poll(self.now, &sources);
-        self.telemetry = Some(rec);
+        f(self.now, &sources)
     }
 
     /// Advances simulated time by `duration`.

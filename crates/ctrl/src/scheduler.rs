@@ -54,7 +54,7 @@
 
 use std::collections::VecDeque;
 
-use fgdram_dram::{DramDevice, ProtocolError, Rule, TryIssue};
+use fgdram_dram::{DeviceState, DramDevice, ProtocolError, Rule, TryIssue};
 use fgdram_model::addr::{Location, MemRequest, ReqId};
 use fgdram_model::cmd::{BankRef, Completion, DramCommand};
 use fgdram_model::config::{ConfigError, CtrlConfig, DramConfig, PagePolicy};
@@ -404,11 +404,11 @@ impl ChannelSched {
             let (bank, dir) = (mark / 2, mark % 2);
             let visible = match self.hit_cache[bank][dir] {
                 HitCache::Known(Some(_)) => {
-                    dev.channel(self.channel).bank(bank as u32).open_rows().nth(1).is_some()
+                    dev.state().open_rows(self.channel, bank as u32).nth(1).is_some()
                 }
                 HitCache::Known(None) => false,
                 HitCache::Unknown => {
-                    let hit = self.scan_first_hit(dev.channel(self.channel), bank, dir == 1);
+                    let hit = self.scan_first_hit(dev.state(), bank, dir == 1);
                     self.hit_cache[bank][dir] = HitCache::Known(hit);
                     hit.is_some()
                 }
@@ -447,15 +447,10 @@ impl ChannelSched {
     /// key is an open row's `(row, slice)` key, so each open row's key is
     /// looked for once in the key lane, only ahead of the best hit so far;
     /// the device is not consulted per queued key.
-    fn scan_first_hit(
-        &self,
-        ch: fgdram_dram::Channel<'_>,
-        bank: usize,
-        use_writes: bool,
-    ) -> Option<u32> {
+    fn scan_first_hit(&self, dev: &DeviceState, bank: usize, use_writes: bool) -> Option<u32> {
         let window = self.window_keys(bank, use_writes);
         let mut first = window.len();
-        for o in ch.bank(bank as u32).open_rows() {
+        for o in dev.open_rows(self.channel, bank as u32) {
             let key = scan_key(o.row, o.slice);
             if let Some(i) = window[..first].iter().position(|&k| k == key) {
                 first = i;
@@ -608,9 +603,7 @@ impl ChannelSched {
             let mut any_open = false;
             for b in 0..self.banks as u32 {
                 scratch.clear();
-                scratch.extend(
-                    dev.channel(self.channel).bank(b).open_rows().map(|o| (o.row, o.slice)),
-                );
+                scratch.extend(dev.state().open_rows(self.channel, b).map(|o| (o.row, o.slice)));
                 for &(row, slice) in scratch.iter() {
                     any_open = true;
                     let cmd =
@@ -680,21 +673,21 @@ impl ChannelSched {
     ) -> Result<Option<Step>, ProtocolError> {
         let mut best: Option<(Ns, u64, usize, usize)> = None;
         for b in 0..self.banks {
-            let ch = dev.channel(self.channel);
+            let state = dev.state();
             // The cached oldest hit replaces the window scan; `Unknown`
             // (set on any queue/row mutation) falls back to one scan.
             let cand_idx = match self.hit_cache[b][use_writes as usize] {
                 HitCache::Known(c) => {
                     debug_assert_eq!(
                         c,
-                        self.scan_first_hit(ch, b, use_writes),
+                        self.scan_first_hit(state, b, use_writes),
                         "stale hit cache: channel {} bank {b} writes {use_writes}",
                         self.channel
                     );
                     c
                 }
                 HitCache::Unknown => {
-                    let c = self.scan_first_hit(ch, b, use_writes);
+                    let c = self.scan_first_hit(state, b, use_writes);
                     self.hit_cache[b][use_writes as usize] = HitCache::Known(c);
                     c
                 }
@@ -704,8 +697,8 @@ impl ChannelSched {
             // Infallible: the hit cache (cross-checked against a fresh scan
             // in debug builds) only holds in-window indices.
             let p = self.queue(use_writes)[b].get(&self.arena, i).expect("cached hit present");
-            let e = ch
-                .earliest_col(b as u32, p.row, p.slice.into(), p.is_write, now)
+            let e = state
+                .earliest_col(self.channel, b as u32, p.row, p.slice.into(), p.is_write, now)
                 .map(|t| t.max(now))
                 .unwrap_or(Ns::MAX);
             if best.is_none_or(|(be, bs, _, _)| (e, p.seq) < (be, bs)) {
@@ -801,7 +794,7 @@ impl ChannelSched {
             let bankref = self.bank_ref(b as u32);
             // Already open with the right row: handled by try_column (it
             // was not issuable now; its wake time is already folded in).
-            let open = dev.channel(self.channel).bank(b as u32).open_at(p.row, slice);
+            let open = dev.state().open_at(self.channel, b as u32, p.row, slice);
             if let Some(o) = open {
                 if o.row == p.row {
                     continue;
@@ -865,8 +858,8 @@ impl ChannelSched {
         use_writes: bool,
         now: Ns,
     ) -> Ns {
-        dev.channel(self.channel)
-            .earliest_col(bank, row, slice, use_writes, now)
+        dev.state()
+            .earliest_col(self.channel, bank, row, slice, use_writes, now)
             .map(|t| t.max(now + 1))
             .unwrap_or(now + 1)
     }
@@ -896,9 +889,8 @@ impl ChannelSched {
                         continue;
                     }
                     let blocking = dev
-                        .channel(self.channel)
-                        .bank(sib)
-                        .open_rows()
+                        .state()
+                        .open_rows(self.channel, sib)
                         .find(|o| o.row != p.row && sub_of(o.row) == want_sub)
                         .map(|o| (o.row, o.slice));
                     if let Some((row, slice)) = blocking {
@@ -924,9 +916,8 @@ impl ChannelSched {
                 // SALP: a neighbouring subarray's open row shares the
                 // sense-amp stripe; close it.
                 let blocking = dev
-                    .channel(self.channel)
-                    .bank(bank)
-                    .open_rows()
+                    .state()
+                    .open_rows(self.channel, bank)
                     .find(|o| sub_of(o.row).abs_diff(want_sub) == 1)
                     .map(|o| (o.row, o.slice));
                 if let Some((row, slice)) = blocking {
@@ -1000,8 +991,7 @@ impl ChannelSched {
         }
         let deadline = self.last_activity + self.cfg.idle_row_timeout;
         if now < deadline {
-            let has_open =
-                (0..self.banks as u32).any(|b| dev.channel(self.channel).bank(b).any_open());
+            let has_open = (0..self.banks as u32).any(|b| dev.state().any_open(self.channel, b));
             if has_open {
                 wake.fold_other(deadline);
             }
@@ -1011,8 +1001,7 @@ impl ChannelSched {
             if !self.read_q[b as usize].is_empty() || !self.write_q[b as usize].is_empty() {
                 continue;
             }
-            let open =
-                dev.channel(self.channel).bank(b).open_rows().next().map(|o| (o.row, o.slice));
+            let open = dev.state().first_open(self.channel, b).map(|o| (o.row, o.slice));
             if let Some((row, slice)) = open {
                 let closed = self.try_precharge(
                     dev,
@@ -1093,7 +1082,7 @@ mod tests {
             assert!(s.poke_hard, "a new queue front forces a pass");
             // As a pass leaves it: pokes consumed, the older hit cached.
             (s.poke_hard, s.poke_marks) = (false, 0);
-            let hit = s.scan_first_hit(dev.channel(0), 0, false);
+            let hit = s.scan_first_hit(dev.state(), 0, false);
             assert_eq!(hit, Some(1));
             s.hit_cache[0][0] = HitCache::Known(hit);
             // The arrival: a hit on the second row's slot, if it is open.

@@ -14,6 +14,7 @@ use fgdram_model::config::{DramConfig, TimingParams};
 use fgdram_model::units::Ns;
 
 use crate::error::{ProtocolError, Rule, ViolationReport, MAX_REPORTED_VIOLATIONS};
+use crate::state::TURNAROUND_BUBBLE;
 
 #[derive(Debug, Clone, Copy)]
 struct SlotState {
@@ -39,6 +40,8 @@ struct ChannelHistory {
     last_col: Option<Ns>,
     last_col_per_group: HashMap<u32, Ns>,
     last_data_end: Ns,
+    /// Direction of the last data burst (`Some(true)` = write).
+    last_dir_write: Option<bool>,
     last_write_end: Option<(Ns, u32)>,
     refresh_until: Ns,
 }
@@ -116,6 +119,8 @@ impl ProtocolChecker {
     }
 
     /// Verifies one command against accumulated history, then records it.
+    /// A rejected command records nothing: every rule is checked before
+    /// any history changes.
     ///
     /// # Errors
     ///
@@ -127,9 +132,9 @@ impl ProtocolChecker {
             // harness bug, surfaced as a command-bus violation.
             return Err(Self::err(tc, Rule::CmdBusBusy));
         }
-        self.last_at = at;
         self.check_range(tc)?;
-        self.check_cmd_bus(tc)?;
+        let (bus, busy_until) = self.check_cmd_bus(tc)?;
+        // Each command's own check records it once all its rules pass.
         match tc.cmd {
             DramCommand::Activate { bank, row, slice } => {
                 self.check_act(tc, bank.channel, bank.bank, row, slice)
@@ -144,7 +149,11 @@ impl ProtocolChecker {
                 self.check_pre(tc, bank.channel, bank.bank, row, slice)
             }
             DramCommand::Refresh { channel } => self.check_refresh(tc, channel),
-        }
+        }?;
+        let buses = if tc.cmd.is_row_cmd() { &mut self.cmd_row_bus } else { &mut self.cmd_col_bus };
+        buses.insert(bus, busy_until);
+        self.last_at = at;
+        Ok(())
     }
 
     /// Geometry guard: every command must target a channel/bank/row/column
@@ -175,24 +184,19 @@ impl ProtocolChecker {
         }
     }
 
-    fn check_cmd_bus(&mut self, tc: &TimedCommand) -> Result<(), ProtocolError> {
+    /// The shared command bus must be free; returns the bus and when the
+    /// command leaves it busy.
+    fn check_cmd_bus(&self, tc: &TimedCommand) -> Result<(u32, Ns), ProtocolError> {
         let bus = tc.cmd.channel() / self.cfg.channels_per_cmd_channel as u32;
-        let (map, occupancy) = if tc.cmd.is_row_cmd() {
-            let occ = if matches!(tc.cmd, DramCommand::Activate { .. }) {
-                self.timing.t_cmd_row
-            } else {
-                self.timing.t_cmd_col
-            };
-            (&mut self.cmd_row_bus, occ)
-        } else {
-            (&mut self.cmd_col_bus, self.timing.t_cmd_col)
+        let (buses, occupancy) = match tc.cmd {
+            DramCommand::Activate { .. } => (&self.cmd_row_bus, self.timing.t_cmd_row),
+            _ if tc.cmd.is_row_cmd() => (&self.cmd_row_bus, self.timing.t_cmd_col),
+            _ => (&self.cmd_col_bus, self.timing.t_cmd_col),
         };
-        let free = map.get(&bus).copied().unwrap_or(0);
-        if tc.at < free {
+        if tc.at < buses.get(&bus).copied().unwrap_or(0) {
             return Err(Self::err(tc, Rule::CmdBusBusy));
         }
-        map.insert(bus, tc.at + occupancy);
-        Ok(())
+        Ok((bus, tc.at + occupancy))
     }
 
     fn check_act(
@@ -207,14 +211,11 @@ impl ProtocolChecker {
         let dom = self.domain(row);
         let sub = self.subarray(row);
         let t = self.timing;
-        let salp = self.cfg.salp;
-        let subarrays = self.cfg.subarrays_per_bank as u32;
         let rows_per_sub = self.cfg.rows_per_subarray() as u32;
-        let grain_guard = self.cfg.is_grain_based();
 
         // Grain rule: the sibling pseudobanks may not hold a different row
         // of the same subarray open.
-        if grain_guard {
+        if self.cfg.is_grain_based() {
             for b in 0..self.cfg.banks_per_channel as u32 {
                 if b == bank {
                     continue;
@@ -229,44 +230,39 @@ impl ProtocolChecker {
             }
         }
 
-        let ch = self.channels.entry(channel).or_default();
-        if at < ch.refresh_until {
-            return Err(Self::err(tc, Rule::RefreshConflict));
-        }
-        if let Some(last) = ch.last_act {
-            if at < last + t.t_rrd {
+        if let Some(ch) = self.channels.get(&channel) {
+            if at < ch.refresh_until {
+                return Err(Self::err(tc, Rule::RefreshConflict));
+            }
+            if ch.last_act.is_some_and(|last| at < last + t.t_rrd) {
                 return Err(Self::err(tc, Rule::ActRrd));
             }
+            // tFAW over the channel's recent activates.
+            let in_window = ch.recent_acts.iter().filter(|&&a| a + t.t_faw > at).count();
+            if t.acts_in_faw > 0 && in_window >= t.acts_in_faw as usize {
+                return Err(Self::err(tc, Rule::ActFaw));
+            }
         }
-        // tFAW over the channel's recent activates.
-        ch.recent_acts.retain(|&a| a + t.t_faw > at);
-        if t.acts_in_faw > 0 && ch.recent_acts.len() >= t.acts_in_faw as usize {
-            return Err(Self::err(tc, Rule::ActFaw));
-        }
-        ch.recent_acts.push(at);
-        ch.last_act = Some(at);
-
-        let bh = self.banks.entry((channel, bank)).or_default();
-        if bh.open.contains_key(&(dom, slice)) {
-            return Err(Self::err(tc, Rule::ActOnOpenRow));
-        }
-        if salp {
-            let adjacent = bh.open.keys().any(|&(d, _)| d + 1 == sub || d == sub + 1);
-            let _ = subarrays;
-            if adjacent {
+        if let Some(bh) = self.banks.get(&(channel, bank)) {
+            if bh.open.contains_key(&(dom, slice)) {
+                return Err(Self::err(tc, Rule::ActOnOpenRow));
+            }
+            if self.cfg.salp && bh.open.keys().any(|&(d, _)| d + 1 == sub || d == sub + 1) {
                 return Err(Self::err(tc, Rule::AdjacentSubarray));
             }
-        }
-        if let Some(&fence) = bh.next_act.get(&(dom, slice)) {
-            if at < fence {
+            if bh.next_act.get(&(dom, slice)).is_some_and(|&fence| at < fence) {
                 return Err(Self::err(tc, Rule::ActTooEarly));
             }
-        }
-        if let Some(last) = bh.last_act {
-            if at < last + t.t_rrd {
+            if bh.last_act.is_some_and(|last| at < last + t.t_rrd) {
                 return Err(Self::err(tc, Rule::ActRrd));
             }
         }
+
+        let ch = self.channels.entry(channel).or_default();
+        ch.recent_acts.retain(|&a| a + t.t_faw > at);
+        ch.recent_acts.push(at);
+        ch.last_act = Some(at);
+        let bh = self.banks.entry((channel, bank)).or_default();
         bh.last_act = Some(at);
         bh.next_act.insert((dom, slice), at + t.t_rc);
         bh.open.insert(
@@ -292,57 +288,58 @@ impl ProtocolChecker {
         let dom = self.domain(row);
         let slice = col / self.cfg.atoms_per_activation() as u32;
         let group = bank % self.cfg.bank_groups as u32;
+        let data_start = at + if is_write { t.t_wl } else { t.t_cl };
+        let data_end = data_start + t.t_burst;
 
-        let ch = self.channels.entry(channel).or_default();
-        if at < ch.refresh_until {
-            return Err(Self::err(tc, Rule::RefreshConflict));
-        }
-        if let Some(last) = ch.last_col {
-            if at < last + t.t_ccd_s {
+        if let Some(ch) = self.channels.get(&channel) {
+            if at < ch.refresh_until {
+                return Err(Self::err(tc, Rule::RefreshConflict));
+            }
+            if ch.last_col.is_some_and(|last| at < last + t.t_ccd_s) {
                 return Err(Self::err(tc, Rule::ColCcd));
             }
-        }
-        if let Some(&last) = ch.last_col_per_group.get(&group) {
-            if at < last + t.t_ccd_l {
+            if ch.last_col_per_group.get(&group).is_some_and(|&last| at < last + t.t_ccd_l) {
                 return Err(Self::err(tc, Rule::ColCcd));
             }
-        }
-        if !is_write {
-            if let Some((wend, wgroup)) = ch.last_write_end {
+            if let (false, Some((wend, wgroup))) = (is_write, ch.last_write_end) {
                 let wtr = if wgroup == group { t.t_wtr_l } else { t.t_wtr_s };
                 if at < wend + wtr {
                     return Err(Self::err(tc, Rule::DataBusConflict));
                 }
             }
+            // In-order data bus, with a bubble when its direction turns.
+            let turn = ch.last_dir_write.is_some_and(|w| w != is_write);
+            if data_start < ch.last_data_end + if turn { TURNAROUND_BUBBLE } else { 0 } {
+                return Err(Self::err(tc, Rule::DataBusConflict));
+            }
         }
-        let data_start = at + if is_write { t.t_wl } else { t.t_cl };
-        let data_end = data_start + t.t_burst;
-        if data_start < ch.last_data_end {
-            return Err(Self::err(tc, Rule::DataBusConflict));
+        let slot = self
+            .banks
+            .get(&(channel, bank))
+            .and_then(|bh| bh.open.get(&(dom, slice)))
+            .filter(|s| s.row == row)
+            .ok_or_else(|| Self::err(tc, Rule::RowNotOpen))?;
+        if at < slot.act_at + t.t_rcd {
+            return Err(Self::err(tc, Rule::ColBeforeRcd));
         }
+
+        let ch = self.channels.entry(channel).or_default();
         ch.last_data_end = data_end;
+        ch.last_dir_write = Some(is_write);
         ch.last_col = Some(at);
         ch.last_col_per_group.insert(group, at);
         if is_write {
             ch.last_write_end = Some((data_end, group));
         }
-
-        let bh = self.banks.entry((channel, bank)).or_default();
-        let slot = bh.open.get_mut(&(dom, slice)).ok_or_else(|| Self::err(tc, Rule::RowNotOpen))?;
-        if slot.row != row {
-            return Err(Self::err(tc, Rule::RowNotOpen));
-        }
-        if at < slot.act_at + t.t_rcd {
-            return Err(Self::err(tc, Rule::ColBeforeRcd));
-        }
+        let bh = self.banks.get_mut(&(channel, bank)).expect("the row was found open above");
+        let slot = bh.open.get_mut(&(dom, slice)).expect("the row was found open above");
         if is_write {
             slot.last_write_end = Some(data_end);
         } else {
             slot.last_read_at = Some(at);
         }
         if auto_precharge {
-            let slot = *slot;
-            let pre_at = Self::pre_fence(&t, &slot);
+            let pre_at = Self::pre_fence(&t, slot);
             bh.open.remove(&(dom, slice));
             let fence = bh.next_act.entry((dom, slice)).or_insert(0);
             *fence = (*fence).max(pre_at + t.t_rp);
@@ -371,30 +368,29 @@ impl ProtocolChecker {
     ) -> Result<(), ProtocolError> {
         let at = tc.at;
         let t = self.timing;
-        if at < self.channels.entry(channel).or_default().refresh_until {
+        if self.channels.get(&channel).is_some_and(|ch| at < ch.refresh_until) {
             return Err(Self::err(tc, Rule::RefreshConflict));
         }
-        let bh = self.banks.entry((channel, bank)).or_default();
+        let open = self.banks.get(&(channel, bank)).map(|bh| &bh.open);
         let keys: Vec<(u32, u32)> = match row {
-            Some(r) => {
-                let dom = if self.cfg.salp { r / self.cfg.rows_per_subarray() as u32 } else { 0 };
-                vec![(dom, slice)]
-            }
-            None => bh.open.keys().copied().collect(),
+            Some(r) => vec![(self.domain(r), slice)],
+            None => open.map(|o| o.keys().copied().collect()).unwrap_or_default(),
         };
-        if keys.is_empty() || (row.is_some() && !bh.open.contains_key(&keys[0])) {
+        if keys.is_empty() {
             return Err(Self::err(tc, Rule::PreNothingOpen));
         }
-        for key in keys {
-            let slot = *bh.open.get(&key).ok_or_else(|| Self::err(tc, Rule::PreNothingOpen))?;
-            if let Some(r) = row {
-                if slot.row != r {
-                    return Err(Self::err(tc, Rule::PreNothingOpen));
-                }
-            }
-            if at < Self::pre_fence(&t, &slot) {
+        for key in &keys {
+            let slot = open
+                .and_then(|o| o.get(key))
+                .filter(|s| row.is_none_or(|r| s.row == r))
+                .ok_or_else(|| Self::err(tc, Rule::PreNothingOpen))?;
+            if at < Self::pre_fence(&t, slot) {
                 return Err(Self::err(tc, Rule::PreTooEarly));
             }
+        }
+
+        let bh = self.banks.get_mut(&(channel, bank)).expect("a slot was found open above");
+        for key in keys {
             bh.open.remove(&key);
             let fence = bh.next_act.entry(key).or_insert(0);
             *fence = (*fence).max(at + t.t_rp);
@@ -409,19 +405,19 @@ impl ProtocolChecker {
                 return Err(Self::err(tc, Rule::RefreshConflict));
             }
         }
-        let ch = self.channels.entry(channel).or_default();
-        if at < ch.refresh_until {
+        if self.channels.get(&channel).is_some_and(|ch| at < ch.refresh_until) {
             return Err(Self::err(tc, Rule::RefreshConflict));
         }
-        ch.refresh_until = at + self.timing.t_rfc;
+
+        let until = at + self.timing.t_rfc;
+        self.channels.entry(channel).or_default().refresh_until = until;
+        // Fresh slots respect the refresh through `refresh_until`.
         for b in 0..self.cfg.banks_per_channel as u32 {
-            let bh = self.banks.entry((channel, b)).or_default();
-            let keys: Vec<_> = bh.next_act.keys().copied().collect();
-            for k in keys {
-                let fence = bh.next_act.entry(k).or_insert(0);
-                *fence = (*fence).max(at + self.timing.t_rfc);
+            if let Some(bh) = self.banks.get_mut(&(channel, b)) {
+                for fence in bh.next_act.values_mut() {
+                    *fence = (*fence).max(until);
+                }
             }
-            // Fresh slots also respect the refresh fence via refresh_until.
         }
         Ok(())
     }
@@ -583,6 +579,49 @@ mod tests {
             },
         };
         c.check_trace(&[act(0, 0, 5, 0), rd_ap, act(0, 0, 6, 45)]).unwrap();
+    }
+
+    /// A rejected activate must not claim the command bus, a tRRD/tFAW
+    /// slot or anything else: the next activate is judged as if it never
+    /// happened.
+    #[test]
+    fn a_rejected_command_records_nothing() {
+        let trace = [act(0, 0, 5, 0), act(0, 0, 6, 2), act(0, 1, 7, 3)];
+        let report = checker(DramKind::QbHbm).report_trace(&trace);
+        let found: Vec<(Rule, Ns)> = report.violations.iter().map(|v| (v.rule, v.at)).collect();
+        assert_eq!(found, [(Rule::ActOnOpenRow, 2)]);
+        assert!(checker(DramKind::QbHbm).report_trace(&[trace[0], trace[2]]).is_clean());
+    }
+
+    /// A read at 16 drives data 32..34; a write's data must then wait the
+    /// 2 ns turnaround bubble too, so its earliest issue is 32, as the
+    /// device says.
+    #[test]
+    fn rejects_a_direction_change_inside_the_turnaround_bubble() {
+        let mut dev = crate::DramDevice::new(DramConfig::new(DramKind::QbHbm));
+        let wr = |at| TimedCommand {
+            at,
+            cmd: DramCommand::Write {
+                bank: b(0, 0),
+                row: 5,
+                col: 1,
+                auto_precharge: false,
+                req: ReqId(0),
+            },
+        };
+        for tc in [act(0, 0, 5, 0), rd(0, 0, 5, 0, 16)] {
+            dev.issue(tc.cmd, tc.at).unwrap();
+        }
+        assert_eq!(dev.earliest(&wr(0).cmd, 16).unwrap(), 32);
+        for at in [30, 31] {
+            let err = checker(DramKind::QbHbm)
+                .check_trace(&[act(0, 0, 5, 0), rd(0, 0, 5, 0, 16), wr(at)])
+                .unwrap_err();
+            assert_eq!((err.rule, err.at), (Rule::DataBusConflict, at));
+        }
+        checker(DramKind::QbHbm)
+            .check_trace(&[act(0, 0, 5, 0), rd(0, 0, 5, 0, 16), wr(32)])
+            .unwrap();
     }
 
     #[test]

@@ -10,9 +10,8 @@ use fgdram_model::cmd::{Completion, DramCommand, TimedCommand};
 use fgdram_model::config::DramConfig;
 use fgdram_model::units::Ns;
 
-use crate::channel::{Channel, ChannelCounters, Reject};
 use crate::error::{ProtocolError, Rule};
-use crate::state::{not_before, DeviceState};
+use crate::state::{not_before, ChannelCounters, DeviceState, Reject};
 
 /// Split row/column command-bus occupancy for one command channel.
 #[derive(Debug, Clone, Copy, Default)]
@@ -92,10 +91,10 @@ impl DramDevice {
         &self.cfg
     }
 
-    /// Read access to one channel/grain (a copyable view over the timing
-    /// state).
-    pub fn channel(&self, ch: u32) -> Channel<'_> {
-        Channel::new(&self.state, ch)
+    /// Read access to the timing state: open rows, per-channel counters,
+    /// data-bus occupancy and the `earliest_*` probes.
+    pub fn state(&self) -> &DeviceState {
+        &self.state
     }
 
     /// Begins recording every accepted command (for the protocol checker).
@@ -444,7 +443,7 @@ mod tests {
         let rd = DramCommand::Read { bank: b, row: 9, col: 0, auto_precharge: true, req: ReqId(1) };
         let t = d.earliest(&rd, 0).unwrap();
         d.issue(rd, t).unwrap();
-        assert!(!d.channel(2).bank(1).any_open());
+        assert!(!d.state().any_open(2, 1));
         // Re-activating the same bank respects tRC/tRP via earliest().
         let act = DramCommand::Activate { bank: b, row: 10, slice: 0 };
         let t2 = d.earliest(&act, 0).unwrap();
@@ -461,7 +460,7 @@ mod tests {
         assert_eq!(early.rule, Rule::PreTooEarly);
         let t = d.earliest(&pre, 5).unwrap();
         d.issue(pre, t).unwrap();
-        assert!(!d.channel(0).bank(0).any_open());
+        assert!(!d.state().any_open(0, 0));
     }
 
     #[test]

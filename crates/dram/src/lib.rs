@@ -8,8 +8,8 @@
 //! channels/grains (bank groups, data-bus occupancy and turnaround, tRRD,
 //! tFAW, refresh), and the stack's split row/column command buses — eight
 //! grains per command channel for FGDRAM. All timing state lives in the
-//! struct-of-arrays [`state::DeviceState`]; [`Channel`] and its banks are
-//! copyable views over it. An independent [`checker::ProtocolChecker`]
+//! struct-of-arrays [`state::DeviceState`], which [`DramDevice::state`]
+//! exposes for reading. An independent [`checker::ProtocolChecker`]
 //! replays recorded command traces against the same rules, so scheduler
 //! bugs cannot hide inside the device model, and [`reference`] keeps the
 //! original object-model core as an executable specification for the
@@ -37,7 +37,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod channel;
 pub mod checker;
 pub mod device;
 pub mod error;
@@ -46,8 +45,7 @@ pub mod reference;
 pub mod state;
 mod telemetry;
 
-pub use channel::{Channel, ChannelCounters, ColOutcome, Reject};
 pub use checker::ProtocolChecker;
 pub use device::{DramDevice, TryIssue};
 pub use error::{ProtocolError, Rule, ViolationReport};
-pub use state::{DeviceState, OpenRow};
+pub use state::{ChannelCounters, ColOutcome, DeviceState, OpenRow, Reject};

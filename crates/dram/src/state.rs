@@ -316,7 +316,7 @@ impl DeviceState {
         }
     }
 
-    // ---- read-side accessors (the view API builds on these) ------------
+    // ---- read-side accessors -------------------------------------------
 
     /// The open row covering (`row`, `slice`) of (`ch`, `bank`), if any.
     pub fn open_at(&self, ch: u32, bank: u32, row: u32, slice: u32) -> Option<OpenRow> {

@@ -21,11 +21,11 @@ impl Sampled for DramDevice {
         let mut act_per_channel = Vec::with_capacity(channels);
         let mut busy_ns_per_channel = Vec::with_capacity(channels);
         let mut faw_headroom = 0u64;
+        let s = self.state();
         for ch in 0..channels as u32 {
-            let c = self.channel(ch);
-            act_per_channel.push(c.counters().activates);
-            busy_ns_per_channel.push(c.data_bus().busy_total());
-            faw_headroom += c.faw_headroom_sum();
+            act_per_channel.push(s.counters(ch).activates);
+            busy_ns_per_channel.push(s.data_bus(ch).busy_total());
+            faw_headroom += s.faw_headroom_sum(ch);
         }
         out.counter_array("act_per_channel", act_per_channel);
         // The per-bank activate heatmap, channel-major: index = channel *

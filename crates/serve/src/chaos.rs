@@ -51,7 +51,7 @@ pub struct ChaosSpec {
     pub dribble: f64,
     /// P(response stream cut after a seeded prefix).
     pub disconnect: f64,
-    /// P(request body bytes flipped before parsing).
+    /// P(request body bytes flipped before the spec parser reads them).
     pub garble: f64,
     /// P(spool record corrupted after its CRC was computed).
     pub ckpt_corrupt: f64,
@@ -218,11 +218,29 @@ pub enum WirePlan {
         /// Bytes written before the cut.
         after: usize,
     },
-    /// Flip request-body bytes with the given per-byte probability.
+    /// Flip bytes of the parsed request body (see [`WirePlan::garble`]).
     Garble {
         /// Per-byte flip probability (seeded per connection).
         rate: f64,
+        /// The connection's dice stream to draw flips from.
+        dice: Dice,
     },
+}
+
+impl WirePlan {
+    /// Applies a garble plan to a parsed request body (any other plan
+    /// leaves it alone): per byte, one roll at `rate` and, on a hit, one
+    /// XOR mask in `1..256`. Only the body is garbled — a garbled head is
+    /// just a torn request, but a garbled body must reach the spec
+    /// parser.
+    pub fn garble(self, body: &mut [u8]) {
+        let WirePlan::Garble { rate, mut dice } = self else { return };
+        for b in body {
+            if dice.roll(rate) {
+                *b ^= dice.range(1, 256) as u8;
+            }
+        }
+    }
 }
 
 /// The live chaos engine: one per daemon, shared by the connection
@@ -276,11 +294,9 @@ impl Chaos {
     }
 
     /// Draws the wire plan for the next accepted connection (and counts
-    /// the injection), plus the rest of the connection's dice stream —
-    /// [`ChaosReader`] draws garble positions from it. Each connection
-    /// consumes one counter value, so a sequential client replays
-    /// exactly under a fixed seed.
-    pub fn wire_plan(&self) -> (WirePlan, Dice) {
+    /// the injection). Each connection consumes one counter value, so a
+    /// sequential client replays exactly under a fixed seed.
+    pub fn wire_plan(&self) -> WirePlan {
         let n = self.conns.fetch_add(1, Ordering::Relaxed);
         let mut dice = Dice::for_site(self.seed, "wire", n);
         // Fixed roll order; every roll consumed so the streams stay
@@ -299,7 +315,9 @@ impl Chaos {
         } else if disconnect {
             WirePlan::Disconnect { after: dice.range(1, 160) as usize }
         } else if garble {
-            WirePlan::Garble { rate: 0.02 + 0.18 * (dice.range(0, 1000) as f64 / 1000.0) }
+            let rate = 0.02 + 0.18 * (dice.range(0, 1000) as f64 / 1000.0);
+            // The rest of the connection's stream draws the flips.
+            WirePlan::Garble { rate, dice }
         } else {
             WirePlan::None
         };
@@ -314,7 +332,7 @@ impl Chaos {
         if let Some(c) = counter {
             c.fetch_add(1, Ordering::Relaxed);
         }
-        (plan, dice)
+        plan
     }
 
     /// Draws the disk plan for the next spool append of a `record_len`
@@ -340,65 +358,46 @@ impl Chaos {
     }
 }
 
-/// A reader that applies a [`WirePlan`] to an inbound request stream.
-/// Wrap the raw `TcpStream` with this, then put the `BufReader` on top.
+/// A reader that applies a [`WirePlan::Torn`] or [`WirePlan::Dribble`]
+/// to an inbound request stream. Wrap the raw `TcpStream` with this, then
+/// put the `BufReader` on top.
 #[derive(Debug)]
 pub struct ChaosReader<R: Read> {
     inner: R,
-    plan: WirePlan,
+    /// `(after, stall)`: after `after` bytes the stream ends (torn) or
+    /// stalls into the deadline (dribble).
+    cut: Option<(usize, bool)>,
     seen: usize,
-    /// Rolling 4-byte window used to find the head/body boundary for
-    /// garbling (we only corrupt the body: a garbled head is just a torn
-    /// request, but a garbled body must reach the spec parser).
-    tail: [u8; 4],
-    in_body: bool,
-    dice: Dice,
 }
 
 impl<R: Read> ChaosReader<R> {
-    /// Wraps `inner` under `plan`, drawing garble positions from `dice`.
-    pub fn new(inner: R, plan: WirePlan, dice: Dice) -> ChaosReader<R> {
-        ChaosReader { inner, plan, seen: 0, tail: [0; 4], in_body: false, dice }
+    /// Wraps `inner` under `plan`.
+    pub fn new(inner: R, plan: &WirePlan) -> ChaosReader<R> {
+        let cut = match *plan {
+            WirePlan::Torn { after } => Some((after, false)),
+            WirePlan::Dribble { after } => Some((after, true)),
+            _ => None,
+        };
+        ChaosReader { inner, cut, seen: 0 }
     }
 }
 
 impl<R: Read> Read for ChaosReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let budget = match self.plan {
-            WirePlan::Torn { after } => {
-                if self.seen >= after {
-                    return Ok(0); // stream torn: looks like client EOF
-                }
-                after - self.seen
-            }
-            WirePlan::Dribble { after } => {
-                if self.seen >= after {
+        let take = match self.cut {
+            Some((after, stall)) if self.seen >= after => {
+                if stall {
                     // The dribbling client never sends the next byte; the
                     // socket deadline fires. Surfaced directly as the
                     // same error a real `SO_RCVTIMEO` expiry produces.
                     return Err(io::Error::new(io::ErrorKind::WouldBlock, "chaos dribble stall"));
                 }
-                after - self.seen
+                return Ok(0); // stream torn: looks like client EOF
             }
-            _ => buf.len().max(1),
+            Some((after, _)) => buf.len().min(after - self.seen),
+            None => buf.len(),
         };
-        let take = buf.len().min(budget);
         let n = self.inner.read(&mut buf[..take])?;
-        if let WirePlan::Garble { rate } = self.plan {
-            for b in &mut buf[..n] {
-                if self.in_body {
-                    if self.dice.roll(rate) {
-                        let mask = self.dice.range(1, 256) as u8;
-                        *b ^= mask;
-                    }
-                } else {
-                    self.tail = [self.tail[1], self.tail[2], self.tail[3], *b];
-                    if self.tail == *b"\r\n\r\n" {
-                        self.in_body = true;
-                    }
-                }
-            }
-        }
         self.seen += n;
         Ok(n)
     }
@@ -415,8 +414,12 @@ pub struct ChaosWriter<W: Write> {
 }
 
 impl<W: Write> ChaosWriter<W> {
-    /// Wraps `inner`; `cut_after` is `Some(n)` for a disconnect plan.
-    pub fn new(inner: W, cut_after: Option<usize>) -> ChaosWriter<W> {
+    /// Wraps `inner` under `plan`.
+    pub fn new(inner: W, plan: &WirePlan) -> ChaosWriter<W> {
+        let cut_after = match *plan {
+            WirePlan::Disconnect { after } => Some(after),
+            _ => None,
+        };
         ChaosWriter { inner, cut_after, written: 0 }
     }
 }
@@ -448,7 +451,8 @@ impl<W: Write> Write for ChaosWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead as _;
+    use crate::http::{read_request, Request};
+    use std::io::BufReader;
 
     #[test]
     fn parses_full_grammar_and_storm_preset() {
@@ -493,8 +497,8 @@ mod tests {
         let spec = ChaosSpec::parse("storm").unwrap();
         let a = Chaos::new(spec.clone(), 42);
         let b = Chaos::new(spec, 42);
-        let plans_a: Vec<WirePlan> = (0..64).map(|_| a.wire_plan().0).collect();
-        let plans_b: Vec<WirePlan> = (0..64).map(|_| b.wire_plan().0).collect();
+        let plans_a: Vec<WirePlan> = (0..64).map(|_| a.wire_plan()).collect();
+        let plans_b: Vec<WirePlan> = (0..64).map(|_| b.wire_plan()).collect();
         assert_eq!(plans_a, plans_b);
         assert!(plans_a.iter().any(|p| *p != WirePlan::None), "storm injects something in 64");
         assert!(plans_a.contains(&WirePlan::None), "storm is not total loss");
@@ -504,7 +508,7 @@ mod tests {
     fn noop_spec_never_injects() {
         let c = Chaos::new(ChaosSpec::default(), 7);
         for _ in 0..256 {
-            assert_eq!(c.wire_plan().0, WirePlan::None);
+            assert_eq!(c.wire_plan(), WirePlan::None);
             assert_eq!(c.disk_plan(100), DiskPlan::None);
         }
     }
@@ -512,8 +516,7 @@ mod tests {
     #[test]
     fn torn_reader_ends_the_stream_early() {
         let data = b"POST /jobs HTTP/1.1\r\n\r\nsuite=compute\n";
-        let mut r =
-            ChaosReader::new(&data[..], WirePlan::Torn { after: 10 }, Dice::for_site(0, "wire", 0));
+        let mut r = ChaosReader::new(&data[..], &WirePlan::Torn { after: 10 });
         let mut out = Vec::new();
         r.read_to_end(&mut out).unwrap();
         assert_eq!(out, &data[..10]);
@@ -522,11 +525,7 @@ mod tests {
     #[test]
     fn dribble_reader_times_out_after_its_prefix() {
         let data = b"GET /stats HTTP/1.1\r\n\r\n";
-        let mut r = ChaosReader::new(
-            &data[..],
-            WirePlan::Dribble { after: 5 },
-            Dice::for_site(0, "wire", 0),
-        );
+        let mut r = ChaosReader::new(&data[..], &WirePlan::Dribble { after: 5 });
         let mut buf = [0u8; 64];
         let n = r.read(&mut buf).unwrap();
         assert_eq!(n, 5);
@@ -534,36 +533,47 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 
+    /// A request through the faithful reader, then `plan`'s garble.
+    fn garbled(plan: WirePlan, head: &str, body: &[u8]) -> Request {
+        let mut data = head.as_bytes().to_vec();
+        data.extend_from_slice(body);
+        let mut r = BufReader::new(ChaosReader::new(&data[..], &plan));
+        let mut req = read_request(&mut r).expect("a well-formed request");
+        plan.garble(&mut req.body);
+        req
+    }
+
     #[test]
     fn garble_reader_leaves_the_head_alone_and_flips_the_body() {
-        let head = b"POST /jobs HTTP/1.1\r\nContent-Length: 14\r\n\r\n";
+        let head = "POST /jobs HTTP/1.1\r\nContent-Length: 14\r\n\r\n";
         let body = b"suite=compute\n";
-        let mut data = head.to_vec();
-        data.extend_from_slice(body);
-        let mut r = ChaosReader::new(
-            &data[..],
-            WirePlan::Garble { rate: 1.0 },
-            Dice::for_site(3, "wire", 1),
-        );
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        assert_eq!(&out[..head.len()], head, "head untouched");
-        assert_ne!(&out[head.len()..], body, "body flipped");
-        // And a BufReader stacks on top without issue.
-        let mut br = std::io::BufReader::new(ChaosReader::new(
-            &data[..],
-            WirePlan::None,
-            Dice::for_site(0, "wire", 0),
-        ));
-        let mut line = String::new();
-        br.read_line(&mut line).unwrap();
-        assert_eq!(line, "POST /jobs HTTP/1.1\r\n");
+        let plan = WirePlan::Garble { rate: 1.0, dice: Dice::for_site(3, "wire", 1) };
+        let req = garbled(plan, head, body);
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/jobs"), "head untouched");
+        assert_eq!(req.header("content-length"), Some("14"));
+        assert_eq!(req.body.len(), body.len());
+        assert!(req.body.iter().zip(body).all(|(a, b)| a != b), "every body byte flipped");
+        // Any other plan leaves the body alone.
+        assert_eq!(garbled(WirePlan::None, head, body).body, body);
+    }
+
+    #[test]
+    fn seeded_garble_flips_the_same_body_bytes() {
+        // Pinned bytes: one roll (and, on a hit, one mask) per body byte
+        // in order, so a seeded chaos run replays the same garble.
+        let body = "suite=compute\nwarmup=2000\nwindow=6000\nmax_workloads=3\n";
+        let head =
+            format!("POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n", body.len());
+        let plan = Chaos::new(ChaosSpec::parse("garble=1").unwrap(), 11).wire_plan();
+        assert!(matches!(plan, WirePlan::Garble { rate, .. } if rate == 0.02486), "{plan:?}");
+        let req = garbled(plan, &head, body.as_bytes());
+        assert_eq!(req.body, b"suite=compute\nwarmup=2000\nwiedow=6000\nmax_workloads=3H");
     }
 
     #[test]
     fn disconnect_writer_cuts_after_its_budget() {
         let mut sink = Vec::new();
-        let mut w = ChaosWriter::new(&mut sink, Some(8));
+        let mut w = ChaosWriter::new(&mut sink, &WirePlan::Disconnect { after: 8 });
         assert_eq!(w.write(b"HTTP/1.1 200").unwrap(), 8);
         assert_eq!(w.write(b"more").unwrap_err().kind(), io::ErrorKind::BrokenPipe);
         assert_eq!(sink, b"HTTP/1.1");

@@ -5,7 +5,8 @@
 //! Server side: request-line + header parsing, `Content-Length` bodies,
 //! fixed responses, and a [`ChunkedWriter`] for streaming bodies
 //! (`Transfer-Encoding: chunked`). Client side: [`request`] sends one
-//! request and decodes either body framing, and [`BodyReader`] exposes
+//! request, reads the response head with the server's header reader
+//! (same caps), and decodes either body framing; [`BodyReader`] exposes
 //! streamed bodies incrementally so telemetry can be relayed line by
 //! line as epochs arrive. Connections are `close`-only: one request per
 //! TCP connection keeps the state machine trivial and the daemon robust.
@@ -102,6 +103,26 @@ fn read_err(context: &str, e: &io::Error) -> ServeError {
     }
 }
 
+/// Reads the header lines after a start line, up to the blank line that
+/// ends the head, with lowercased names — for requests and responses
+/// alike.
+fn read_headers<R: BufRead>(r: &mut R) -> Result<Vec<(String, String)>, ServeError> {
+    let bad = |m: &str| ServeError::BadRequest(m.to_string());
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line_crlf(r).map_err(|e| read_err("header", &e))?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(bad("too many headers"));
+        }
+        let (k, v) =
+            line.split_once(':').ok_or_else(|| bad("header line missing ':' separator"))?;
+        headers.push((k.trim().to_lowercase(), v.trim().to_string()));
+    }
+}
+
 /// Reads and parses one request from `r`.
 ///
 /// Every malformed input is a typed error, never a panic: oversized
@@ -124,19 +145,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ServeError> {
     if !version.starts_with("HTTP/1.") {
         return Err(bad("unsupported HTTP version"));
     }
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line_crlf(r).map_err(|e| read_err("header", &e))?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(bad("too many headers"));
-        }
-        let (k, v) =
-            line.split_once(':').ok_or_else(|| bad("header line missing ':' separator"))?;
-        headers.push((k.trim().to_lowercase(), v.trim().to_string()));
-    }
+    let headers = read_headers(r)?;
     let len = match headers.iter().find(|(k, _)| k == "content-length") {
         Some((_, v)) => v.parse::<usize>().map_err(|_| bad("unparseable content-length"))?,
         None => 0,
@@ -429,16 +438,7 @@ pub fn request(
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut resp_headers = Vec::new();
-    loop {
-        let line = read_line_crlf(&mut r)?;
-        if line.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = line.split_once(':') {
-            resp_headers.push((k.trim().to_lowercase(), v.trim().to_string()));
-        }
-    }
+    let resp_headers = read_headers(&mut r).map_err(io::Error::other)?;
     let framing = if resp_headers.iter().any(|(k, v)| k == "transfer-encoding" && v == "chunked") {
         Framing::Chunked
     } else if let Some((_, v)) = resp_headers.iter().find(|(k, _)| k == "content-length") {

@@ -11,19 +11,24 @@
 //! The layers, bottom up:
 //!
 //! - [`http`] — minimal HTTP/1.1: content-length and chunked framing,
-//!   one request per connection, server and client halves.
+//!   one request per connection, server and client halves sharing one
+//!   head reader.
 //! - [`error`] — the typed rejection/failure taxonomy: wire `code`
 //!   strings, HTTP statuses, and `fgdram-client` exit codes, with
 //!   [`fgdram_core::SimError`] mapped through unchanged.
 //! - [`spec`] — the `key=value` wire job spec.
 //! - [`spool`] — per-cell checkpoint files (exact-bit report encoding),
-//!   so a killed daemon resumes without recomputing finished cells.
+//!   so a killed daemon resumes without recomputing finished cells; the
+//!   loader restores each job's [`spool::JobState`], the one lifecycle
+//!   type the server keeps.
 //! - [`server`] — admission control, overload shedding,
 //!   deficit-round-robin fair-share scheduling, the worker pool, and the
 //!   HTTP routes.
 //! - [`chaos`] — seeded wire/disk fault injection (`--chaos`), the
 //!   serving-layer sibling of `--faults`: every defense above ships with
-//!   the deterministic attack that exercises it.
+//!   the deterministic attack that exercises it. Wire faults wrap the
+//!   socket, except `garble`, which flips bytes of the parsed request
+//!   body.
 //!
 //! ## Wire protocol
 //!

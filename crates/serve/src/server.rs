@@ -39,8 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use fgdram_core::report::SimReport;
-use fgdram_core::suite::{render_report, SuiteSpec, SUITE_KINDS};
+use fgdram_core::suite::{SuiteSpec, SUITE_KINDS};
 use fgdram_core::SimError;
 use fgdram_model::config::DramKind;
 use fgdram_model::json;
@@ -50,7 +49,7 @@ use crate::chaos::{Chaos, ChaosReader, ChaosSpec, ChaosWriter, WirePlan};
 use crate::error::{ServeError, WireError};
 use crate::http::{read_request, write_error, write_response, ChunkedWriter, Request};
 use crate::spec;
-use crate::spool::{Artifact, CkptWriter, Spool, SpoolStatus};
+use crate::spool::{render_final, Artifact, CkptWriter, JobState, LoadedJob, Spool};
 
 /// Daemon configuration (all limits have serviceable defaults).
 #[derive(Debug, Clone)]
@@ -102,36 +101,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lifecycle of a job. The terminal states carry their outcome, so a
-/// done job cannot lack its report nor a failed one its error.
-#[derive(Debug)]
-enum JobState {
-    Queued,
-    Running,
-    /// All cells completed; holds the rendered suite report.
-    Done(String),
-    /// A cell failed; holds the error in wire form (which is also how it
-    /// survives a spool round trip).
-    Failed(WireError),
-    Canceled,
-}
-
-impl JobState {
-    fn label(&self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done(_) => "done",
-            JobState::Failed(_) => "failed",
-            JobState::Canceled => "canceled",
-        }
-    }
-
-    fn terminal(&self) -> bool {
-        matches!(self, JobState::Done(_) | JobState::Failed(_) | JobState::Canceled)
-    }
-}
-
 struct Job {
     tenant: String,
     spec: SuiteSpec,
@@ -145,16 +114,6 @@ struct Job {
 impl Job {
     fn total(&self) -> usize {
         self.artifacts.len()
-    }
-
-    /// The suite report of a job whose cells have all completed.
-    fn render_final(&self) -> String {
-        let reports: Vec<SimReport> = self
-            .artifacts
-            .iter()
-            .map(|a| a.as_ref().expect("all cells done").report.clone())
-            .collect();
-        render_report(self.spec.which, &self.workloads, &reports)
     }
 }
 
@@ -309,60 +268,57 @@ impl Server {
             stats: Counters::default(),
         };
         for loaded in spool.load_all() {
-            if let Some(n) = loaded.id.strip_prefix('j').and_then(|s| s.parse::<u64>().ok()) {
+            let LoadedJob {
+                id,
+                tenant,
+                key,
+                spec,
+                cells,
+                state,
+                skipped_records,
+                duplicate_records,
+            } = loaded;
+            if let Some(n) = id.strip_prefix('j').and_then(|s| s.parse::<u64>().ok()) {
                 inner.next_id = inner.next_id.max(n + 1);
             }
-            let completed = loaded.cells.iter().filter(|c| c.is_some()).count();
-            let total = loaded.cells.len();
-            let mut job = Job {
-                tenant: loaded.tenant.clone(),
-                spec: loaded.spec,
-                workloads: Vec::new(),
-                artifacts: loaded.cells,
-                completed,
-                state: JobState::Queued,
-                writer: None,
-            };
-            job.workloads = job.spec.workloads();
+            let completed = cells.iter().filter(|c| c.is_some()).count();
             // Every checkpointed cell restored here is one not recomputed,
             // whether or not the job had finished.
             inner.stats.resumed_cells += completed as u64;
             inner.stats.submitted += 1;
-            inner.stats.skipped_records += loaded.skipped_records;
-            inner.stats.duplicate_records += loaded.duplicate_records;
-            if let Some(k) = &loaded.key {
-                inner.keys.insert((loaded.tenant.clone(), k.clone()), loaded.id.clone());
+            inner.stats.skipped_records += skipped_records;
+            inner.stats.duplicate_records += duplicate_records;
+            if let Some(k) = key {
+                inner.keys.insert((tenant.clone(), k), id.clone());
             }
-            job.state = match loaded.status {
-                SpoolStatus::Done if completed == total => JobState::Done(job.render_final()),
-                SpoolStatus::Failed(e) => JobState::Failed(e),
-                SpoolStatus::Canceled => JobState::Canceled,
-                // In progress (or a corrupt done marker): re-enqueue the
-                // missing cells; the completed ones are not recomputed.
-                SpoolStatus::Done | SpoolStatus::InProgress => JobState::Queued,
-            };
-            let resume = !job.state.terminal();
-            let missing: Vec<usize> = job
-                .artifacts
-                .iter()
-                .enumerate()
-                .filter_map(|(i, a)| a.is_none().then_some(i))
-                .collect();
-            if resume {
+            // An unfinished job re-enqueues its missing cells; the
+            // completed ones are not recomputed.
+            let missing: Vec<usize> =
+                cells.iter().enumerate().filter_map(|(i, a)| a.is_none().then_some(i)).collect();
+            let resume = !state.terminal();
+            let writer = if resume {
                 eprintln!(
-                    "fgdram-serve: resumed {} for tenant '{}': {completed}/{total} cells \
+                    "fgdram-serve: resumed {id} for tenant '{tenant}': {completed}/{} cells \
                      checkpointed, re-queueing {}",
-                    loaded.id,
-                    job.tenant,
+                    cells.len(),
                     missing.len()
                 );
-                job.writer = Some(spool.reopen(&loaded.id)?);
-            }
-            let tenant = job.tenant.clone();
-            let id = loaded.id.clone();
+                Some(spool.reopen(&id)?)
+            } else {
+                None
+            };
+            let job = Job {
+                tenant: tenant.clone(),
+                workloads: spec.workloads(),
+                spec,
+                artifacts: cells,
+                completed,
+                state,
+                writer,
+            };
             // Insert before enqueueing: the queue accounting reads the
             // job's cell cost from the map.
-            inner.jobs.insert(loaded.id, job);
+            inner.jobs.insert(id.clone(), job);
             if resume {
                 inner.enqueue_cells(&tenant, &id, missing.into_iter());
                 inner.tenants.entry(tenant).or_default().inflight_jobs += 1;
@@ -492,7 +448,8 @@ fn deliver(g: &mut Inner, job_id: &str, index: usize, result: Result<Artifact, S
             if job.completed < job.total() {
                 return;
             }
-            job.state = JobState::Done(job.render_final());
+            let report = render_final(&job.spec, &job.workloads, &job.artifacts);
+            job.state = JobState::Done(report.expect("all cells done"));
             if let Some(w) = &mut job.writer {
                 if let Err(e) = w.mark_done() {
                     eprintln!("fgdram-serve: checkpoint done marker failed for {job_id}: {e}");
@@ -780,31 +737,25 @@ fn stream_telemetry<W: Write>(shared: &Shared, job_id: &str, w: &mut W) -> io::R
 fn handle_conn(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    match &shared.chaos {
+    let Some(chaos) = &shared.chaos else {
         // Faithful path: `&TcpStream` is `Read + Write`, no wrapping.
-        None => handle_conn_io(shared, &stream, &mut &stream),
-        Some(chaos) => {
-            let (plan, dice) = chaos.wire_plan();
-            if plan == WirePlan::Reset {
-                // Dropped before reading: the peer sees a reset/EOF.
-                return;
-            }
-            let cut = match plan {
-                WirePlan::Disconnect { after } => Some(after),
-                _ => None,
-            };
-            let reader = ChaosReader::new(&stream, plan, dice);
-            let mut writer = ChaosWriter::new(&stream, cut);
-            handle_conn_io(shared, reader, &mut writer);
-        }
+        return handle_conn_io(shared, &stream, &mut &stream, WirePlan::None);
+    };
+    let plan = chaos.wire_plan();
+    if plan == WirePlan::Reset {
+        // Dropped before reading: the peer sees a reset/EOF.
+        return;
     }
+    let reader = ChaosReader::new(&stream, &plan);
+    let mut writer = ChaosWriter::new(&stream, &plan);
+    handle_conn_io(shared, reader, &mut writer, plan);
 }
 
 /// Serves one request over any transport — the real socket, or the
-/// chaos-wrapped one.
-fn handle_conn_io<R: Read, W: Write>(shared: &Shared, r: R, w: &mut W) {
+/// chaos-wrapped one — garbling its body first under a garble `plan`.
+fn handle_conn_io<R: Read, W: Write>(shared: &Shared, r: R, w: &mut W, plan: WirePlan) {
     let mut reader = BufReader::new(r);
-    let req = match read_request(&mut reader) {
+    let mut req = match read_request(&mut reader) {
         Ok(r) => r,
         Err(e) => {
             let mut g = shared.m.lock().expect("state lock");
@@ -817,6 +768,7 @@ fn handle_conn_io<R: Read, W: Write>(shared: &Shared, r: R, w: &mut W) {
             return;
         }
     };
+    plan.garble(&mut req.body);
     let _ = route(shared, &req, w);
 }
 
@@ -913,6 +865,8 @@ fn route<W: Write>(shared: &Shared, req: &Request, w: &mut W) -> io::Result<()> 
 mod tests {
     use super::*;
     use crate::http;
+    use fgdram_core::report::SimReport;
+    use fgdram_core::suite::render_report;
 
     fn test_cfg(workers: usize, tag: &str) -> (ServeConfig, PathBuf) {
         let dir = std::env::temp_dir().join(format!("fgdram_serve_t_{}_{tag}", std::process::id()));

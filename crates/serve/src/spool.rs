@@ -28,9 +28,10 @@
 //! [`LoadedJob`] and logged, never silently swallowed.
 //!
 //! Terminal markers (`done` / `failed ...` / `canceled`) make finished
-//! jobs re-attachable after a restart without re-running anything; a
-//! corrupted marker line degrades to "still in progress", the safe
-//! direction.
+//! jobs re-attachable after a restart without re-running anything: the
+//! loader yields the [`JobState`] the server stores, a done job's report
+//! rendered once. A corrupted marker line — or a `done` whose cells did
+//! not all load — degrades to "still in progress", the safe direction.
 //!
 //! Disk-fault injection: when the spool carries a [`Chaos`] engine
 //! (`--chaos` with `ckpt-*` rates), each append draws a seeded
@@ -43,11 +44,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fgdram_core::report::{FaultSummary, SimReport};
-use fgdram_core::suite::SuiteSpec;
+use fgdram_core::suite::{render_report, SuiteSpec, SUITE_KINDS};
 use fgdram_energy::meter::{EnergyBreakdown, EnergyPerBit};
 use fgdram_faults::crc32;
 use fgdram_model::config::DramKind;
 use fgdram_model::units::{GbPerSec, Picojoules, PjPerBit};
+use fgdram_workloads::Workload;
 
 use crate::chaos::{Chaos, DiskPlan};
 use crate::error::WireError;
@@ -65,17 +67,50 @@ pub struct Artifact {
     pub jsonl: Option<String>,
 }
 
-/// How a spooled job had ended (or not) when the daemon stopped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpoolStatus {
-    /// Still has cells to run: resume it.
-    InProgress,
-    /// All cells completed.
-    Done,
-    /// A cell failed; the typed code, exit code and message are preserved.
+/// Lifecycle of a job, as the server holds it and the loader restores it.
+/// The terminal states carry their outcome, so a done job cannot lack its
+/// report nor a failed one its error.
+#[derive(Debug, PartialEq)]
+pub enum JobState {
+    /// Cells still to run (a restored job resumes them).
+    Queued,
+    /// A worker has claimed one of its cells.
+    Running,
+    /// All cells completed; holds the rendered suite report.
+    Done(String),
+    /// A cell failed; holds the error in wire form (which is also how it
+    /// survives a spool round trip).
     Failed(WireError),
     /// The job was cancelled.
     Canceled,
+}
+
+impl JobState {
+    pub(crate) fn label(&self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Done(_) => "done",
+            JobState::Failed(_) => "failed",
+            JobState::Canceled => "canceled",
+        }
+    }
+
+    pub(crate) fn terminal(&self) -> bool {
+        matches!(self, JobState::Done(_) | JobState::Failed(_) | JobState::Canceled)
+    }
+}
+
+/// The suite report of a job's input-order cell table, `None` while a
+/// cell is missing.
+pub(crate) fn render_final(
+    spec: &SuiteSpec,
+    workloads: &[Workload],
+    cells: &[Option<Artifact>],
+) -> Option<String> {
+    let reports: Option<Vec<SimReport>> =
+        cells.iter().map(|c| c.as_ref().map(|a| a.report.clone())).collect();
+    Some(render_report(spec.which, workloads, &reports?))
 }
 
 /// A job reconstructed from its spool file.
@@ -91,8 +126,8 @@ pub struct LoadedJob {
     pub spec: SuiteSpec,
     /// Input-order cell table; `None` cells still need to run.
     pub cells: Vec<Option<Artifact>>,
-    /// Terminal state, if the job had reached one.
-    pub status: SpoolStatus,
+    /// [`JobState::Queued`] unless the job had reached a terminal state.
+    pub state: JobState,
     /// Records discarded on load (truncated, corrupt, or unparseable).
     pub skipped_records: u64,
     /// Valid records that re-wrote an already-loaded cell (last wins).
@@ -406,9 +441,11 @@ fn parse_ckpt(s: &str) -> Result<LoadedJob, String> {
         v.replace(';', "\n")
     };
     let spec = spec::parse(&spec_line).map_err(|e| format!("spec: {e}"))?;
-    let total = spec.cell_count();
+    let workloads = spec.workloads();
+    let total = workloads.len() * SUITE_KINDS.len();
     let mut cells: Vec<Option<Artifact>> = (0..total).map(|_| None).collect();
-    let mut status = SpoolStatus::InProgress;
+    // The last terminal marker wins; a `done` gets its report below.
+    let mut state = JobState::Queued;
     let mut skipped_records = 0u64;
     let mut duplicate_records = 0u64;
     // One bad record skips to the next boundary; it never ends parsing.
@@ -434,17 +471,17 @@ fn parse_ckpt(s: &str) -> Result<LoadedJob, String> {
                 }
             }
         } else if line == "done" {
-            status = SpoolStatus::Done;
+            state = JobState::Done(String::new());
             i += 1;
         } else if line == "canceled" {
-            status = SpoolStatus::Canceled;
+            state = JobState::Canceled;
             i += 1;
         } else if let Some(rest) = line.strip_prefix("failed ") {
             let mut it = rest.splitn(3, ' ');
             let code = it.next().unwrap_or("internal").to_string();
             let exit_code = it.next().and_then(|v| v.parse().ok()).unwrap_or(1);
             let message = unesc(it.next().unwrap_or(""));
-            status = SpoolStatus::Failed(WireError { code, exit_code, message });
+            state = JobState::Failed(WireError { code, exit_code, message });
             i += 1;
         } else {
             // Orphan garbage (e.g. the tail of a short write): one skip,
@@ -456,7 +493,14 @@ fn parse_ckpt(s: &str) -> Result<LoadedJob, String> {
             }
         }
     }
-    Ok(LoadedJob { id, tenant, key, spec, cells, status, skipped_records, duplicate_records })
+    if let JobState::Done(report) = &mut state {
+        // A cell lost to a bad record re-runs: the job is in progress.
+        match render_final(&spec, &workloads, &cells) {
+            Some(text) => *report = text,
+            None => state = JobState::Queued,
+        }
+    }
+    Ok(LoadedJob { id, tenant, key, spec, cells, state, skipped_records, duplicate_records })
 }
 
 /// Percent-escapes the characters the line format reserves.
@@ -686,7 +730,7 @@ mod tests {
         assert_eq!((j.id.as_str(), j.tenant.as_str()), ("j7", "ten ant"));
         assert_eq!(j.key, None);
         assert_eq!(j.spec, spec);
-        assert_eq!(j.status, SpoolStatus::InProgress);
+        assert_eq!(j.state, JobState::Queued);
         assert_eq!(j.cells.len(), 4);
         assert!(j.cells[0].is_some() && j.cells[2].is_some());
         assert!(j.cells[1].is_none() && j.cells[3].is_none(), "truncated record discarded");
@@ -703,7 +747,7 @@ mod tests {
         w.mark_failed(&stall).expect("failed marker");
         drop(w);
         let jobs = spool.load_all();
-        assert_eq!(jobs[0].status, SpoolStatus::Failed(stall));
+        assert_eq!(jobs[0].state, JobState::Failed(stall));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -712,8 +756,11 @@ mod tests {
         let (dir, spool) = tmp_spool("term");
         let spec = test_spec();
         let mut w = spool.create("j1", "a", Some("order%66 retry"), &spec).unwrap();
-        w.append_cell(0, &Artifact { report: sample_report(0), jsonl: None }).unwrap();
-        w.append_cell(1, &Artifact { report: sample_report(1), jsonl: None }).unwrap();
+        let cells: Vec<Option<Artifact>> =
+            (0..4).map(|i| Some(Artifact { report: sample_report(i), jsonl: None })).collect();
+        for (i, a) in cells.iter().enumerate() {
+            w.append_cell(i, a.as_ref().unwrap()).unwrap();
+        }
         w.mark_done().unwrap();
         let mut w = spool.create("j2", "a", None, &spec).unwrap();
         let boom = WireError { code: "protocol".into(), exit_code: 4, message: "boom boom".into() };
@@ -722,13 +769,14 @@ mod tests {
         w.mark_canceled().unwrap();
         let jobs = spool.load_all();
         assert_eq!(jobs.len(), 3);
-        assert_eq!(jobs[0].status, SpoolStatus::Done);
+        let report = render_final(&spec, &spec.workloads(), &cells).unwrap();
+        assert_eq!(jobs[0].state, JobState::Done(report), "a done job loads rendered");
         assert_eq!(jobs[0].key.as_deref(), Some("order%66 retry"), "idempotency key survives");
         assert_eq!(jobs[0].skipped_records, 0);
         assert_eq!(jobs[0].duplicate_records, 0);
-        assert_eq!(jobs[1].status, SpoolStatus::Failed(boom));
+        assert_eq!(jobs[1].state, JobState::Failed(boom));
         assert_eq!(jobs[1].key, None);
-        assert_eq!(jobs[2].status, SpoolStatus::Canceled);
+        assert_eq!(jobs[2].state, JobState::Canceled);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -768,7 +816,7 @@ mod tests {
         assert_eq!(cell.jsonl.as_deref(), Some("{\"x\":1}\n"));
         let stall =
             WireError { code: "stall".into(), exit_code: 5, message: "some message".into() };
-        assert_eq!(j.status, SpoolStatus::Failed(stall.clone()));
+        assert_eq!(j.state, JobState::Failed(stall.clone()));
         // The writer half: the same job spooled again is the same bytes.
         let (dir, spool) = tmp_spool("v2fixture");
         let mut w = spool.create("j9", "ten ant", Some("k 1"), &test_spec()).unwrap();
@@ -803,7 +851,7 @@ mod tests {
         assert_eq!(j.skipped_records, 1, "corrupt record skipped, not trusted");
         assert!(j.cells[1].is_none(), "the lying cell re-runs");
         assert!(j.cells[0].is_some() && j.cells[2].is_some(), "neighbours survive");
-        assert_eq!(j.status, SpoolStatus::Done, "marker after the corruption still parsed");
+        assert_eq!(j.state, JobState::Queued, "a done job missing a cell is in progress");
         assert_eq!(
             format!("{:?}", j.cells[2].as_ref().unwrap().report),
             format!("{:?}", sample_report(2)),

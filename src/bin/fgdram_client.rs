@@ -32,10 +32,11 @@
 //! daemon shutdown) and 10 (job cancelled). Usage errors exit 2.
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use fgdram_model::json;
 use fgdram_model::rng::SmallRng;
 use fgdram_serve::http;
 
@@ -54,19 +55,9 @@ fn fail_usage(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn fail_io(context: &str, e: &std::io::Error) -> ExitCode {
+fn fail_io(context: &str, e: &io::Error) -> ExitCode {
     eprintln!("fgdram-client: {context}: {e}");
     ExitCode::from(6)
-}
-
-/// Extracts `"key":<integer>` from a JSON error body (good enough for
-/// our own fixed-shape bodies; no general JSON parser in a zero-dep
-/// workspace).
-fn json_uint(body: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = body.find(&pat)? + pat.len();
-    let digits: String = body[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 /// Reports a non-2xx response on stderr and converts it to the typed
@@ -74,7 +65,10 @@ fn json_uint(body: &str, key: &str) -> Option<u64> {
 fn fail_http(context: &str, status: u16, body: &[u8]) -> ExitCode {
     let body = String::from_utf8_lossy(body);
     eprintln!("fgdram-client: {context}: HTTP {status}: {}", body.trim_end());
-    let code = json_uint(&body, "exit_code").unwrap_or(if status < 500 { 2 } else { 1 });
+    let code = json::parse(&body)
+        .ok()
+        .and_then(|v| v.get("error")?.get("exit_code")?.as_u64())
+        .unwrap_or(if status < 500 { 2 } else { 1 });
     ExitCode::from(code.min(255) as u8)
 }
 
@@ -120,10 +114,20 @@ impl Retry {
     }
 }
 
-/// A fully-read response: status plus body.
+/// A fully-read response: status, body, and the server's `Retry-After`
+/// hint in seconds.
 struct Reply {
     status: u16,
     body: Vec<u8>,
+    retry_after: Option<u64>,
+}
+
+impl Reply {
+    fn read(resp: http::Response) -> io::Result<Reply> {
+        let status = resp.status;
+        let retry_after = resp.header("retry-after").and_then(|v| v.parse().ok());
+        Ok(Reply { status, body: resp.into_body()?, retry_after })
+    }
 }
 
 /// Whether a failed request is worth retrying: the three statuses the
@@ -134,10 +138,37 @@ fn retryable_status(status: u16) -> bool {
     matches!(status, 408 | 429 | 503)
 }
 
-/// Issues `method path` and reads the whole response, retrying
+/// Runs `attempt` — one request named `what` in log lines — retrying
 /// transient failures per the [`Retry`] policy. Non-retryable HTTP
 /// errors come back as an `Ok` reply for the caller's normal handling;
 /// `Err` means the transport failed on every attempt.
+fn retrying(
+    r: &mut Retry,
+    what: &str,
+    mut attempt: impl FnMut() -> io::Result<Reply>,
+) -> io::Result<Reply> {
+    let mut n = 0u32;
+    loop {
+        let (why, retry_after) = match attempt() {
+            Ok(reply) if !retryable_status(reply.status) || n >= r.retries => return Ok(reply),
+            Ok(reply) => (format!("HTTP {}", reply.status), reply.retry_after),
+            Err(e) if n >= r.retries => return Err(e),
+            Err(e) => (e.to_string(), None),
+        };
+        n += 1;
+        let d = r.delay(n, retry_after);
+        if !r.fits(d) {
+            return Err(io::Error::other(format!(
+                "deadline exhausted after {n} attempt(s); last failure: {why}"
+            )));
+        }
+        eprintln!("fgdram-client: {what}: {why}; retry {n}/{} in {}ms", r.retries, d.as_millis());
+        std::thread::sleep(d);
+    }
+}
+
+/// Issues `method path` and reads the whole response, retrying as
+/// [`retrying`] does.
 fn fetch(
     r: &mut Retry,
     addr: &str,
@@ -145,78 +176,43 @@ fn fetch(
     path: &str,
     headers: &[(&str, &str)],
     body: &[u8],
-) -> std::io::Result<Reply> {
-    let mut attempt = 0u32;
-    loop {
-        let outcome = http::request(addr, method, path, headers, body).and_then(|resp| {
-            let status = resp.status;
-            let retry_after = resp.header("retry-after").and_then(|v| v.parse::<u64>().ok());
-            let body = resp.into_body()?;
-            Ok((Reply { status, body }, retry_after))
-        });
-        let (why, retry_after) = match outcome {
-            Ok((reply, retry_after)) => {
-                if !retryable_status(reply.status) || attempt >= r.retries {
-                    return Ok(reply);
-                }
-                (format!("HTTP {}", reply.status), retry_after)
-            }
-            Err(e) => {
-                if attempt >= r.retries {
-                    return Err(e);
-                }
-                (e.to_string(), None)
-            }
-        };
-        attempt += 1;
-        let d = r.delay(attempt, retry_after);
-        if !r.fits(d) {
-            return Err(std::io::Error::other(format!(
-                "deadline exhausted after {attempt} attempt(s); last failure: {why}"
-            )));
-        }
-        eprintln!(
-            "fgdram-client: {method} {path}: {why}; retry {attempt}/{} in {}ms",
-            r.retries,
-            d.as_millis()
-        );
-        std::thread::sleep(d);
-    }
+) -> io::Result<Reply> {
+    retrying(r, &format!("{method} {path}"), || {
+        http::request(addr, method, path, headers, body).and_then(Reply::read)
+    })
 }
 
 struct Common {
     addr: String,
     retry: Retry,
-    positional: Vec<String>,
+    /// The other arguments, in order: positionals and command flags.
+    rest: Vec<String>,
 }
 
-/// Splits `--addr` and the retry flags from positional arguments.
+/// Takes `--addr` and the retry flags (each with its value) out of
+/// `args`, passing everything else through.
 fn parse_common(args: &[String]) -> Result<Common, String> {
     let mut addr = DEFAULT_ADDR.to_string();
     let mut retries = DEFAULT_RETRIES;
     let mut base_ms = DEFAULT_BASE_MS;
     let mut deadline_ms = 0u64;
-    let mut positional = Vec::new();
+    let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
-            match a.as_str() {
-                "--addr" => addr = v.clone(),
-                "--retries" => retries = v.parse().map_err(|e| format!("--retries {v}: {e}"))?,
-                "--retry-base-ms" => {
-                    base_ms = v.parse().map_err(|e| format!("--retry-base-ms {v}: {e}"))?;
-                }
-                "--deadline-ms" => {
-                    deadline_ms = v.parse().map_err(|e| format!("--deadline-ms {v}: {e}"))?;
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
-        } else {
-            positional.push(a.clone());
+        if !["--addr", "--retries", "--retry-base-ms", "--deadline-ms"].contains(&a.as_str()) {
+            rest.push(a.clone());
+            continue;
+        }
+        let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+        let bad = |e: std::num::ParseIntError| format!("{a} {v}: {e}");
+        match a.as_str() {
+            "--addr" => addr = v.clone(),
+            "--retries" => retries = v.parse().map_err(bad)?,
+            "--retry-base-ms" => base_ms = v.parse().map_err(bad)?,
+            _ => deadline_ms = v.parse().map_err(bad)?,
         }
     }
-    Ok(Common { addr, retry: Retry::new(retries, base_ms, deadline_ms), positional })
+    Ok(Common { addr, retry: Retry::new(retries, base_ms, deadline_ms), rest })
 }
 
 fn print_reply(reply: Reply, context: &str) -> ExitCode {
@@ -240,13 +236,16 @@ fn simple(
         Ok(c) => c,
         Err(m) => return fail_usage(&m),
     };
+    if let Some(flag) = c.rest.iter().find(|a| a.starts_with("--")) {
+        return fail_usage(&format!("unknown flag {flag}"));
+    }
     let path = if needs_job {
-        match c.positional.as_slice() {
+        match c.rest.as_slice() {
             [job] => path_of(job),
             _ => return fail_usage("expected exactly one JOB argument"),
         }
     } else {
-        if !c.positional.is_empty() {
+        if !c.rest.is_empty() {
             return fail_usage("unexpected positional arguments");
         }
         path_of("")
@@ -258,17 +257,17 @@ fn simple(
 }
 
 fn submit(args: &[String]) -> ExitCode {
-    let mut addr = DEFAULT_ADDR.to_string();
+    let Common { addr, mut retry, rest } = match parse_common(args) {
+        Ok(c) => c,
+        Err(m) => return fail_usage(&m),
+    };
     let mut tenant: Option<String> = None;
     let mut suite: Option<String> = None;
     let mut spec_pairs: Vec<(String, String)> = Vec::new();
     let mut telemetry_path: Option<String> = None;
     let mut job_key: Option<String> = None;
-    let mut retries = DEFAULT_RETRIES;
-    let mut base_ms = DEFAULT_BASE_MS;
-    let mut deadline_ms = 0u64;
     let mut wait = true;
-    let mut it = args.iter();
+    let mut it = rest.iter();
     while let Some(flag) = it.next() {
         if flag == "--no-wait" {
             wait = false;
@@ -278,7 +277,6 @@ fn submit(args: &[String]) -> ExitCode {
             return fail_usage(&format!("{flag} needs a value"));
         };
         match flag.as_str() {
-            "--addr" => addr = value.clone(),
             "--tenant" => tenant = Some(value.clone()),
             "--suite" => suite = Some(value.clone()),
             "--warmup" => spec_pairs.push(("warmup".into(), value.clone())),
@@ -287,31 +285,18 @@ fn submit(args: &[String]) -> ExitCode {
             "--epoch" => spec_pairs.push(("epoch".into(), value.clone())),
             "--telemetry" => telemetry_path = Some(value.clone()),
             "--job-key" => job_key = Some(value.clone()),
-            "--retries" => match value.parse() {
-                Ok(n) => retries = n,
-                Err(e) => return fail_usage(&format!("--retries {value}: {e}")),
-            },
-            "--retry-base-ms" => match value.parse() {
-                Ok(n) => base_ms = n,
-                Err(e) => return fail_usage(&format!("--retry-base-ms {value}: {e}")),
-            },
-            "--deadline-ms" => match value.parse() {
-                Ok(n) => deadline_ms = n,
-                Err(e) => return fail_usage(&format!("--deadline-ms {value}: {e}")),
-            },
             other => return fail_usage(&format!("unknown flag {other}")),
         }
     }
     let Some(suite) = suite else {
         return fail_usage("submit requires --suite compute|graphics");
     };
-    let mut retry = Retry::new(retries, base_ms, deadline_ms);
     // Resubmission is only safe with an idempotency key: if the first
     // submit succeeded but its response was lost, the retry must attach
     // to the existing job, not start a second one. Generate a key when
     // retries are possible and the caller did not pin one.
     let job_key = job_key.or_else(|| {
-        (retries > 0).then(|| format!("cli-{:016x}", retry.rng.random_range(0..u64::MAX)))
+        (retry.retries > 0).then(|| format!("cli-{:016x}", retry.rng.random_range(0..u64::MAX)))
     });
     let mut body = format!("suite={suite}\n");
     for (k, v) in &spec_pairs {
@@ -338,11 +323,13 @@ fn submit(args: &[String]) -> ExitCode {
         return fail_http("submit", reply.status, &reply.body);
     }
     let submit_body = String::from_utf8_lossy(&reply.body).into_owned();
-    let Some(job) = submit_body.split("\"job\":\"").nth(1).and_then(|s| s.split('"').next()) else {
+    let parsed = json::parse(&submit_body).unwrap_or(json::Value::Null);
+    let Some(job) = parsed.get("job").and_then(json::Value::as_str) else {
         eprintln!("fgdram-client: malformed submit response: {submit_body}");
         return ExitCode::from(1);
     };
-    let attached = if submit_body.contains("\"deduped\":true") { " (deduped)" } else { "" };
+    let deduped = parsed.get("deduped") == Some(&json::Value::Bool(true));
+    let attached = if deduped { " (deduped)" } else { "" };
     eprintln!("fgdram-client: submitted {job}{attached} ({})", submit_body.trim_end());
     if !wait {
         println!("{job}");
@@ -371,52 +358,23 @@ fn stream_telemetry(
     addr: &str,
     tpath: &str,
     out_path: &str,
-) -> std::io::Result<ExitCode> {
-    let mut attempt = 0u32;
-    loop {
-        let outcome: std::io::Result<Result<usize, Reply>> =
-            http::request(addr, "GET", tpath, &[], b"").and_then(|resp| {
-                if resp.status != 200 {
-                    let status = resp.status;
-                    let body = resp.into_body()?;
-                    return Ok(Err(Reply { status, body }));
-                }
-                let mut file = File::create(out_path)?;
-                // Chunks land in the file as epochs complete server-side.
-                resp.stream_body(|chunk| file.write_all(chunk)).map(Ok)
-            });
-        let why = match outcome {
-            Ok(Ok(n)) => {
-                eprintln!("fgdram-client: telemetry: {n} bytes -> {out_path}");
-                return Ok(ExitCode::SUCCESS);
-            }
-            Ok(Err(reply)) => {
-                if !retryable_status(reply.status) || attempt >= r.retries {
-                    return Ok(fail_http("telemetry", reply.status, &reply.body));
-                }
-                format!("HTTP {}", reply.status)
-            }
-            Err(e) => {
-                if attempt >= r.retries {
-                    return Err(e);
-                }
-                e.to_string()
-            }
-        };
-        attempt += 1;
-        let d = r.delay(attempt, None);
-        if !r.fits(d) {
-            return Err(std::io::Error::other(format!(
-                "deadline exhausted after {attempt} attempt(s); last failure: {why}"
-            )));
+) -> io::Result<ExitCode> {
+    let mut streamed = 0;
+    let reply = retrying(r, &format!("GET {tpath}"), || {
+        let resp = http::request(addr, "GET", tpath, &[], b"")?;
+        if resp.status != 200 {
+            return Reply::read(resp);
         }
-        eprintln!(
-            "fgdram-client: GET {tpath}: {why}; retry {attempt}/{} in {}ms",
-            r.retries,
-            d.as_millis()
-        );
-        std::thread::sleep(d);
+        let mut file = File::create(out_path)?;
+        // Chunks land in the file as epochs complete server-side.
+        streamed = resp.stream_body(|chunk| file.write_all(chunk))?;
+        Ok(Reply { status: 200, body: Vec::new(), retry_after: None })
+    })?;
+    if reply.status != 200 {
+        return Ok(fail_http("telemetry", reply.status, &reply.body));
     }
+    eprintln!("fgdram-client: telemetry: {streamed} bytes -> {out_path}");
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {

@@ -63,10 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         w,
         "Determinism gate: the numbers below are pinned byte-for-byte by\n\
          `tests/golden_identity.rs` at every `--jobs` level (quick scale). The\n\
-         PR-6 engine rewrite reproduced the prior engine exactly; its busy-wait\n\
-         fence fix was the one intentional perturbation (sub-0.01% latency-mean\n\
-         shifts on two cells), after which this file and the golden were\n\
-         regenerated together.\n"
+         allocation-free engine rebuild reproduced the prior engine exactly; its\n\
+         busy-wait fence fix was the one intentional perturbation (sub-0.01%\n\
+         latency-mean shifts on two cells), after which this file and the golden\n\
+         were regenerated together.\n"
     )?;
 
     // ---- Figure 1a -----------------------------------------------------

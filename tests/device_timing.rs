@@ -49,8 +49,7 @@ fn run_random_schedule(kind: DramKind, ops: &[(u8, u8, OpChoice, u8)]) {
             },
             OpChoice::Column { write, col_sel } => {
                 // Target an open row when one exists, else expect rejection.
-                let open =
-                    dev.channel(channel).bank(bank).open_rows().next().map(|o| (o.row, o.slice));
+                let open = dev.state().first_open(channel, bank).map(|o| (o.row, o.slice));
                 let (row, slice) = open.unwrap_or((1, 0));
                 let col = slice * cfg.atoms_per_activation() as u32
                     + col_sel as u32 % cfg.atoms_per_activation() as u32;
@@ -73,8 +72,7 @@ fn run_random_schedule(kind: DramKind, ops: &[(u8, u8, OpChoice, u8)]) {
                 }
             }
             OpChoice::Precharge => {
-                let open =
-                    dev.channel(channel).bank(bank).open_rows().next().map(|o| (o.row, o.slice));
+                let open = dev.state().first_open(channel, bank).map(|o| (o.row, o.slice));
                 match open {
                     Some((row, slice)) => {
                         DramCommand::Precharge { bank: bankref, row: Some(row), slice }
@@ -154,9 +152,8 @@ fn random_command(dev: &DramDevice, r: &mut SmallRng) -> DramCommand {
     let banks = cfg.banks_per_channel as u64 + u64::from(r.random_range(0..50) == 0);
     let bank = BankRef { channel, bank: r.random_range(0..banks) as u32 };
     let open = dev
-        .channel(channel)
-        .bank(bank.bank)
-        .open_rows()
+        .state()
+        .open_rows(channel, bank.bank)
         .nth(r.random_range(0..2) as usize)
         .map(|o| (o.row, o.slice));
     let apa = cfg.atoms_per_activation();
@@ -196,18 +193,18 @@ fn observe(dev: &DramDevice, now: u64) -> String {
     use std::fmt::Write;
     let cfg = dev.config();
     let probe = |cmd: DramCommand| dev.earliest(&cmd, now).map_err(|e| e.rule);
+    let st = dev.state();
     let mut s = format!("{:?}", dev.total_counters());
     for channel in 0..DIFF_CHANNELS.min(cfg.channels as u32) {
-        let c = dev.channel(channel);
         let _ = write!(
             s,
             "\n{channel}: {:?} faw {} data {} buses {} {} acts {:?} ref {:?}",
-            c.counters(),
-            c.faw_headroom_sum(),
-            c.data_bus().busy_until(),
+            st.counters(channel),
+            st.faw_headroom_sum(channel),
+            st.data_bus(channel).busy_until(),
             dev.row_bus_free(channel),
             dev.col_bus_free(channel),
-            c.bank_activates(),
+            st.bank_activates(channel),
             probe(DramCommand::Refresh { channel }),
         );
         for b in 0..cfg.banks_per_channel as u32 {
@@ -219,7 +216,7 @@ fn observe(dev: &DramDevice, now: u64) -> String {
                 probe(DramCommand::Activate { bank, row: 3 * 1031, slice: 0 }),
                 probe(DramCommand::Precharge { bank, row: None, slice: 0 }),
             );
-            for o in c.bank(b).open_rows() {
+            for o in st.open_rows(channel, b) {
                 let (row, col) = (o.row, o.slice * cfg.atoms_per_activation() as u32);
                 let _ = write!(
                     s,

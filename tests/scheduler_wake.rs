@@ -204,8 +204,9 @@ impl Mirror {
         let writes_after = self.writes.get(&loc.channel).copied().unwrap_or(0) + 1;
         let draining = self.draining.get(&loc.channel).copied().unwrap_or(false);
         let window = OPEN_CFG.reorder_window;
-        let bank = dev.channel(loc.channel).bank(loc.bank);
-        let hit = |row: u32, slice: u32| bank.open_at(row, slice).is_some_and(|o| o.row == row);
+        let hit = |row: u32, slice: u32| {
+            dev.state().open_at(loc.channel, loc.bank, row, slice).is_some_and(|o| o.row == row)
+        };
         if q.is_empty() {
             Arrival::NewQueueFront
         } else if is_write && !draining && writes_after >= OPEN_CFG.write_high_watermark {

@@ -4,14 +4,12 @@
 //! `fgdram_sim suite` CLI at any worker count, and a `kill -9`'d daemon
 //! resumes from its spool without recomputing finished cells.
 
-mod common;
-
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use common::Json;
+use fgdram_model::json::{self, Value};
 
 /// The job spec used throughout: small enough to finish in seconds,
 /// large enough (3 workloads = 6 cells) for a mid-job kill to land.
@@ -83,6 +81,22 @@ impl Daemon {
             .output()
             .expect("run fgdram-client")
     }
+
+    /// `GET /stats` through the client, parsed.
+    fn stats(&self, extra: &[&str]) -> Value {
+        let out = self.client(&[&["stats"], extra].concat());
+        assert!(out.status.success(), "stats: {}", String::from_utf8_lossy(&out.stderr));
+        let body = String::from_utf8(out.stdout).expect("UTF-8 stats");
+        json::parse(&body).unwrap_or_else(|e| panic!("stats is not JSON ({e}): {body}"))
+    }
+}
+
+/// The counter at `path` (object keys) of a parsed `/stats` body.
+fn counter(stats: &Value, path: &[&str]) -> u64 {
+    path.iter()
+        .try_fold(stats, |v, k| v.get(k))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no counter {path:?} in {stats:?}"))
 }
 
 impl Drop for Daemon {
@@ -197,19 +211,8 @@ fn kill_dash_nine_then_restart_resumes_without_recompute() {
     let served = String::from_utf8(out.stdout).unwrap();
     assert_eq!(served, reference, "resumed report differs from the CLI bytes");
     // The daemon restored (not re-ran) the checkpointed cells.
-    let out = daemon.client(&["stats"]);
-    assert!(out.status.success());
-    let stats = String::from_utf8(out.stdout).unwrap();
-    let resumed: usize = stats
-        .split("\"resumed\":")
-        .nth(1)
-        .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-        .and_then(|s| s.parse().ok())
-        .expect("resumed counter in stats");
-    assert!(
-        resumed >= cells_before_kill,
-        "expected >= {cells_before_kill} resumed cells, stats: {stats}"
-    );
+    let resumed = counter(&daemon.stats(&[]), &["cells", "resumed"]);
+    assert!(resumed >= cells_before_kill as u64, "expected >= {cells_before_kill} resumed cells");
     drop(daemon);
     let _ = std::fs::remove_dir_all(spool);
 }
@@ -227,7 +230,7 @@ fn json_exchange(
         .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
     let status = resp.status;
     let body = String::from_utf8(resp.into_body().expect("response body")).expect("UTF-8 body");
-    Json::validate(&body).unwrap_or_else(|e| panic!("{method} {path} -> {status}: {e}: {body}"));
+    json::parse(&body).unwrap_or_else(|e| panic!("{method} {path} -> {status}: {e}: {body}"));
     (status, body)
 }
 
@@ -408,14 +411,8 @@ fn daemon_survives_malformed_requests_over_the_wire() {
         }
     }
     // The daemon must still be healthy after the whole corpus.
-    let out = daemon.client(&["stats", "--retries", "2"]);
-    assert!(
-        out.status.success(),
-        "daemon died under fuzz: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stats = String::from_utf8(out.stdout).unwrap();
-    assert!(stats.contains("\"malformed\":"), "stats: {stats}");
+    let stats = daemon.stats(&["--retries", "2"]);
+    counter(&stats, &["wire", "malformed"]);
     drop(daemon);
     let _ = std::fs::remove_dir_all(spool);
 }
@@ -447,19 +444,12 @@ fn served_report_is_byte_identical_under_seeded_chaos_with_retries() {
     let served = String::from_utf8(out.stdout).expect("served report is UTF-8");
     assert_eq!(served, reference, "chaos changed the served bytes");
     // The injected faults are visible in /stats: the run was not clean.
-    let out = daemon.client(&["stats", "--retries", "16", "--retry-base-ms", "10"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let stats = String::from_utf8(out.stdout).unwrap();
-    assert!(stats.contains("\"chaos\":"), "chaos counters missing from stats: {stats}");
-    let injected: u64 = ["\"torn\":", "\"reset\":", "\"disconnect\":"]
+    let stats = daemon.stats(&["--retries", "16", "--retry-base-ms", "10"]);
+    let injected: u64 = ["torn", "reset", "disconnect"]
         .iter()
-        .filter_map(|k| {
-            stats.split(k).nth(1).and_then(|s| {
-                s.split(|c: char| !c.is_ascii_digit()).next().and_then(|d| d.parse::<u64>().ok())
-            })
-        })
+        .map(|k| counter(&stats, &["chaos", "wire", k]))
         .sum();
-    assert!(injected > 0, "no wire faults actually injected: {stats}");
+    assert!(injected > 0, "no wire faults actually injected: {stats:?}");
     drop(daemon);
     let _ = std::fs::remove_dir_all(spool);
 }
@@ -499,10 +489,7 @@ fn kill_dash_nine_under_disk_chaos_still_resumes_byte_identical() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let served = String::from_utf8(out.stdout).unwrap();
     assert_eq!(served, reference, "resumed-after-disk-chaos report differs from the CLI bytes");
-    let out = daemon.client(&["stats"]);
-    assert!(out.status.success());
-    let stats = String::from_utf8(out.stdout).unwrap();
-    assert!(stats.contains("\"skipped_records\":"), "stats: {stats}");
+    counter(&daemon.stats(&[]), &["cells", "skipped_records"]);
     drop(daemon);
     let _ = std::fs::remove_dir_all(spool);
 }
