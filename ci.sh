@@ -41,10 +41,6 @@ agree="$(grep -A2 '"trace.counter_mismatch"' "$sdir/bench_trace.json" | grep -c 
 [ "$agree" -eq 5 ] || { echo "trace.counter_mismatch is 0 on $agree of 5 workloads"; exit 1; }
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== smoke: the removed --engine-threads flag is a usage error (exit 2) =="
-code=0; target/release/fgdram_sim run STREAM --engine-threads 2 >/dev/null 2>&1 || code=$?
-[ "$code" -eq 2 ] || { echo "expected usage exit 2 for --engine-threads, got $code"; exit 1; }
-
 echo "== smoke: fault storm terminates typed, no panic, no hang =="
 # Survivable storm window: must complete cleanly with fault counters.
 timeout 120 target/release/fgdram_sim run STREAM --faults storm \

@@ -3,9 +3,10 @@
 //! [`ProtocolChecker`] replays a recorded command trace and asserts every
 //! timing and state rule from scratch — it shares the [`TimingParams`] with
 //! the device model but none of its code paths, so a scheduler bug and a
-//! device-model bug would have to agree to go unnoticed. Property tests
-//! drive randomized schedulers through the device and feed the resulting
-//! traces here.
+//! device-model bug would have to agree to go unnoticed. It is the one
+//! reference the device is held to: `tests/timing_explorer.rs` drives both
+//! through every bounded command sequence, and `tests/device_timing.rs`
+//! feeds it randomized full-size streams one command at a time.
 
 use std::collections::HashMap;
 
@@ -16,7 +17,7 @@ use fgdram_model::units::Ns;
 use crate::error::{ProtocolError, Rule, ViolationReport, MAX_REPORTED_VIOLATIONS};
 use crate::state::TURNAROUND_BUBBLE;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SlotState {
     row: u32,
     act_at: Ns,
@@ -24,7 +25,7 @@ struct SlotState {
     last_write_end: Option<Ns>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct BankHistory {
     /// Open slots keyed by (domain, slice).
     open: HashMap<(u32, u32), SlotState>,
@@ -33,7 +34,7 @@ struct BankHistory {
     last_act: Option<Ns>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ChannelHistory {
     last_act: Option<Ns>,
     recent_acts: Vec<Ns>,
@@ -47,7 +48,7 @@ struct ChannelHistory {
 }
 
 /// Replays command traces and reports the first violation.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtocolChecker {
     cfg: DramConfig,
     timing: TimingParams,
@@ -213,6 +214,17 @@ impl ProtocolChecker {
         let t = self.timing;
         let rows_per_sub = self.cfg.rows_per_subarray() as u32;
 
+        // Structural rules first, in the device's order, so both name the
+        // same rule when more than one holds.
+        let open = self.banks.get(&(channel, bank)).map(|bh| &bh.open);
+        if open.is_some_and(|o| o.contains_key(&(dom, slice))) {
+            return Err(Self::err(tc, Rule::ActOnOpenRow));
+        }
+        if self.cfg.salp
+            && open.is_some_and(|o| o.keys().any(|&(d, _)| d + 1 == sub || d == sub + 1))
+        {
+            return Err(Self::err(tc, Rule::AdjacentSubarray));
+        }
         // Grain rule: the sibling pseudobanks may not hold a different row
         // of the same subarray open.
         if self.cfg.is_grain_based() {
@@ -244,12 +256,6 @@ impl ProtocolChecker {
             }
         }
         if let Some(bh) = self.banks.get(&(channel, bank)) {
-            if bh.open.contains_key(&(dom, slice)) {
-                return Err(Self::err(tc, Rule::ActOnOpenRow));
-            }
-            if self.cfg.salp && bh.open.keys().any(|&(d, _)| d + 1 == sub || d == sub + 1) {
-                return Err(Self::err(tc, Rule::AdjacentSubarray));
-            }
             if bh.next_act.get(&(dom, slice)).is_some_and(|&fence| at < fence) {
                 return Err(Self::err(tc, Rule::ActTooEarly));
             }
@@ -624,6 +630,21 @@ mod tests {
             .unwrap();
     }
 
+    /// With row 0 open in both FGDRAM pseudobanks, activating row 1 breaks
+    /// both the open-row rule and the grain subarray rule; the checker
+    /// names the one the device reports.
+    #[test]
+    fn names_the_devices_rule_when_two_structural_rules_hold() {
+        let trace = [act(0, 0, 0, 0), act(0, 1, 0, 3), act(0, 0, 1, 100)];
+        let err = checker(DramKind::Fgdram).check_trace(&trace).unwrap_err();
+        assert_eq!((err.rule, err.at), (Rule::ActOnOpenRow, 100));
+        let mut dev = crate::DramDevice::new(DramConfig::new(DramKind::Fgdram));
+        for tc in &trace[..2] {
+            dev.issue(tc.cmd, tc.at).unwrap();
+        }
+        assert_eq!(dev.earliest(&trace[2].cmd, 100).unwrap_err().rule, Rule::ActOnOpenRow);
+    }
+
     #[test]
     fn refresh_requires_closed_banks_and_blocks() {
         let mut c = checker(DramKind::QbHbm);
@@ -692,15 +713,15 @@ mod rule_coverage {
         c.check_trace(&[act(0, 0, 5, 0), wr(0, 0, 5, 0, 16), rd(0, 0, 5, 1, 30)]).unwrap();
     }
 
-    /// Data-bus overlap: a write's data (WL=4) landing inside an earlier
-    /// read's burst window must be rejected even when tCCD passes.
+    /// Data-bus order: a write whose data (WL=4) would reach the bus
+    /// before an earlier read's burst has left it must be rejected even
+    /// when tCCD passes.
     #[test]
     fn catches_data_bus_overlap() {
         let mut c = ProtocolChecker::new(DramConfig::new(DramKind::QbHbm));
-        // rd @16: data 32..34. wr @22 (tCCDL ok, 16+4=20 <= 22): data 26..28
-        // < 34? 26 < 34 but write data would start before the read's end?
-        // Write data 26..28 actually *precedes* the read data; the in-order
-        // bus rule (data_start >= last_data_end) catches it.
+        // rd @16 drives data 32..34. wr @22 passes tCCDL (16 + 4 <= 22) but
+        // its data, 26..28, would precede the read's: the in-order bus
+        // (data start >= last data end + turnaround) rejects it.
         let err =
             c.check_trace(&[act(0, 0, 5, 0), rd(0, 0, 5, 0, 16), wr(0, 0, 5, 1, 22)]).unwrap_err();
         assert_eq!(err.rule, Rule::DataBusConflict);
@@ -735,15 +756,12 @@ mod rule_coverage {
         c.check_trace(&[act(0, 0, 100, 0), act(0, 0, 1200, 4)]).unwrap();
     }
 
-    /// tFAW: a 9th activate within the 12 ns window must be rejected on
-    /// HBM2-class parts (8 allowed), using distinct banks so tRRD-free
-    /// channels... tRRD=2 spaces activates; use two channels to pack more.
+    /// tFAW: at most `acts_in_faw` activates in any `t_faw` window.
     #[test]
     fn catches_faw_violation() {
-        // Directly exercise the window on one channel: 8 activates at the
-        // tRRD floor occupy 0..14; the 9th at 14 is below 0+12? No — it
-        // must satisfy both tRRD (>=16) and tFAW (>= t0+12=12): 16 is
-        // legal. Shrink tFAW pressure by raising the configured window.
+        // Table 2's window (8 per 12 ns) never binds at tRRD = 2 (8
+        // activates already span 14 ns), so use a 4-per-40 ns window: four
+        // activates at 0, 2, 4, 6 fill it and a fifth at 8 is rejected.
         let mut cfg = DramConfig::new(DramKind::Hbm2);
         cfg.timing.t_faw = 40;
         cfg.timing.acts_in_faw = 4;

@@ -14,7 +14,7 @@ use crate::error::{ProtocolError, Rule};
 use crate::state::{not_before, ChannelCounters, DeviceState, Reject};
 
 /// Split row/column command-bus occupancy for one command channel.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct CmdBus {
     row_busy_until: Ns,
     col_busy_until: Ns,
@@ -41,7 +41,7 @@ struct CmdBus {
 /// assert!(done.at > at);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramDevice {
     cfg: DramConfig,
     state: DeviceState,

@@ -11,9 +11,10 @@
 //! struct-of-arrays [`state::DeviceState`], which [`DramDevice::state`]
 //! exposes for reading. An independent [`checker::ProtocolChecker`]
 //! replays recorded command traces against the same rules, so scheduler
-//! bugs cannot hide inside the device model, and [`reference`] keeps the
-//! original object-model core as an executable specification for the
-//! differential test suite.
+//! bugs cannot hide inside the device model. The checker is the one
+//! timing reference: `tests/timing_explorer.rs` holds the device to it on
+//! every bounded command sequence (sound and tight `earliest` times, the
+//! same structural rule, no change on rejection).
 //!
 //! ## Examples
 //!
@@ -41,7 +42,6 @@ pub mod checker;
 pub mod device;
 pub mod error;
 pub mod faw;
-pub mod reference;
 pub mod state;
 mod telemetry;
 

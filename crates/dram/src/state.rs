@@ -22,10 +22,13 @@
 //!
 //! `Option<Ns>` fences are stored as plain `Ns` with 0 meaning "never":
 //! all fence arithmetic is `max`, and `t.max(0) == t`, so the encodings
-//! are exactly equivalent. The semantics of every method transcribe the
-//! legacy `Bank`/`Channel` logic (kept verbatim in [`crate::reference`])
-//! and are pinned to it by the differential test in
-//! `tests/soa_differential.rs` plus the byte-identical golden suite.
+//! are exactly equivalent. The state changes only through
+//! [`crate::DramDevice`], which evaluates a command's `earliest_*` fence
+//! before applying it. The independent [`crate::ProtocolChecker`] is the
+//! reference these rules are held to: `tests/timing_explorer.rs` checks
+//! every bounded command sequence against it (soundness, tightness,
+//! matching structural rules, no change on rejection), and
+//! `tests/device_timing.rs` does the same for random full-size streams.
 
 use std::cell::Cell;
 
@@ -80,7 +83,7 @@ pub struct ColOutcome {
 }
 
 /// Operation counters for energy accounting and reports.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ChannelCounters {
     /// Row activations issued.
     pub activates: u64,
@@ -97,7 +100,7 @@ pub struct ChannelCounters {
 /// One row slot's timing fences and open-row payload. The payload fields
 /// (`row`, `slice`, and the open fences) are valid only while the slot's
 /// bit is set in the bank's open bitset; `next_act` is always live.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct SlotState {
     /// Earliest next activate (tRC from the last activate, tRP from the
     /// last precharge, tRFC from refresh).
@@ -115,7 +118,7 @@ struct SlotState {
 }
 
 /// One bank's packed hot state.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct BankState {
     /// Shared-row-decoder fence: last activate + tRRD (0 = never).
     decoder_free: Ns,
@@ -128,7 +131,7 @@ struct BankState {
 
 /// One channel's packed hot state — sized to a cache line so a column
 /// command reads its whole channel context in one memory touch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ChannelState {
     /// Channel tRRD fence: last activate + tRRD (0 = never).
     act_free: Ns,
@@ -167,7 +170,7 @@ impl Default for ChannelState {
 ///
 /// Slot index layout: `(channel * banks + bank) * slots_per_bank + slot`,
 /// where `slot = subarray * slices + slice` (subarray 0 when SALP is off).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceState {
     // Geometry (precomputed strides).
     channels: u32,
@@ -389,7 +392,7 @@ impl DeviceState {
     }
 
     /// Timing evaluations so far: every `earliest_*` call, including the
-    /// one each validating method makes. Never reset.
+    /// one each [`crate::DramDevice`] issue makes. Never reset.
     pub(crate) fn timing_evals(&self) -> u64 {
         self.evals.get()
     }
@@ -530,25 +533,6 @@ impl DeviceState {
         Ok(t.max(cs.refresh_until))
     }
 
-    /// Issues an activate; `at` must be at or after [`Self::earliest_act`].
-    ///
-    /// # Errors
-    ///
-    /// Everything `earliest_act` rejects, plus [`Rule::ActTooEarly`] with
-    /// the earliest legal time.
-    pub fn activate(
-        &mut self,
-        ch: u32,
-        bank: u32,
-        row: u32,
-        slice: u32,
-        at: Ns,
-    ) -> Result<(), Reject> {
-        not_before(self.earliest_act(ch, bank, row, slice, at)?, at, Rule::ActTooEarly)?;
-        self.apply_activate(ch, bank, row, slice, at);
-        Ok(())
-    }
-
     /// The state change of an activate that [`Self::earliest_act`] allows
     /// at `at`.
     pub(crate) fn apply_activate(&mut self, ch: u32, bank: u32, row: u32, slice: u32, at: Ns) {
@@ -640,25 +624,6 @@ impl DeviceState {
         Ok(t.max(cs.refresh_until))
     }
 
-    /// Issues a column command, returning its data-bus occupancy.
-    ///
-    /// # Errors
-    ///
-    /// Everything `earliest_col` rejects, plus [`Rule::ColCcd`] when `at`
-    /// is before the legal time.
-    pub fn column(
-        &mut self,
-        ch: u32,
-        bank: u32,
-        row: u32,
-        slice: u32,
-        is_write: bool,
-        at: Ns,
-    ) -> Result<ColOutcome, Reject> {
-        not_before(self.earliest_col(ch, bank, row, slice, is_write, at)?, at, Rule::ColCcd)?;
-        Ok(self.apply_column(ch, bank, row, slice, is_write, at))
-    }
-
     /// The state change of a column command that [`Self::earliest_col`]
     /// allows at `at`.
     pub(crate) fn apply_column(
@@ -703,12 +668,13 @@ impl DeviceState {
 
     // ---- precharge -----------------------------------------------------
 
-    /// Earliest precharge of the slot holding (`ch`, `bank`, `row`,
+    /// Earliest precharge of the open row `row` in (`ch`, `bank`,
     /// `slice`).
     ///
     /// # Errors
     ///
-    /// [`Rule::PreNothingOpen`] / [`Rule::OutOfRange`].
+    /// [`Rule::PreNothingOpen`] when that slot is closed or holds a
+    /// different row; [`Rule::OutOfRange`].
     pub fn earliest_pre(
         &self,
         ch: u32,
@@ -721,11 +687,11 @@ impl DeviceState {
         self.check_bank(bank)?;
         let bi = self.bank_index(ch, bank);
         let slot = self.slot_of(row, slice);
-        if !self.slot_open(bi, slot) {
+        let si = self.slot_base(bi) + slot as usize;
+        if !self.slot_open(bi, slot) || self.slots[si].row != row {
             return Err(Reject::structural(Rule::PreNothingOpen));
         }
-        let t = self.slots[self.slot_base(bi) + slot as usize].earliest_pre;
-        Ok(t.max(at).max(self.ch_s[ch as usize].refresh_until))
+        Ok(self.slots[si].earliest_pre.max(at).max(self.ch_s[ch as usize].refresh_until))
     }
 
     /// Earliest precharge of every open slot of (`ch`, `bank`) at once:
@@ -742,24 +708,6 @@ impl DeviceState {
         }
         let t = self.open_rows(ch, bank).map(|o| o.earliest_pre).fold(at, Ns::max);
         Ok(t.max(self.ch_s[ch as usize].refresh_until))
-    }
-
-    /// Issues a precharge.
-    ///
-    /// # Errors
-    ///
-    /// Everything `earliest_pre` rejects, plus [`Rule::PreTooEarly`].
-    pub fn precharge(
-        &mut self,
-        ch: u32,
-        bank: u32,
-        row: u32,
-        slice: u32,
-        at: Ns,
-    ) -> Result<(), Reject> {
-        not_before(self.earliest_pre(ch, bank, row, slice, at)?, at, Rule::PreTooEarly)?;
-        self.apply_precharge(ch, bank, row, slice, at);
-        Ok(())
     }
 
     /// The state change of a precharge that [`Self::earliest_pre`] allows
@@ -823,17 +771,6 @@ impl DeviceState {
         Ok(at.max(self.ch_s[ch as usize].refresh_until))
     }
 
-    /// Issues an all-bank refresh occupying `ch` for tRFC.
-    ///
-    /// # Errors
-    ///
-    /// Everything `earliest_refresh` rejects.
-    pub fn refresh(&mut self, ch: u32, at: Ns) -> Result<(), Reject> {
-        not_before(self.earliest_refresh(ch, at)?, at, Rule::RefreshConflict)?;
-        self.apply_refresh(ch, at);
-        Ok(())
-    }
-
     /// The state change of a refresh that [`Self::earliest_refresh`]
     /// allows at `at`.
     pub(crate) fn apply_refresh(&mut self, ch: u32, at: Ns) {
@@ -894,145 +831,178 @@ impl Iterator for OpenRows<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DramDevice;
+    use fgdram_model::addr::ReqId;
+    use fgdram_model::cmd::{BankRef, DramCommand};
     use fgdram_model::config::DramKind;
 
-    fn state(kind: DramKind) -> DeviceState {
-        DeviceState::new(&DramConfig::new(kind))
+    fn device(kind: DramKind) -> DramDevice {
+        DramDevice::new(DramConfig::new(kind))
+    }
+
+    fn act(bank: u32, row: u32, slice: u32) -> DramCommand {
+        DramCommand::Activate { bank: BankRef { channel: 0, bank }, row, slice }
+    }
+
+    /// A column command to `col` of `row` in channel 0's `bank`.
+    fn col(bank: u32, row: u32, col: u32, is_write: bool) -> DramCommand {
+        let (bank, auto_precharge, req) = (BankRef { channel: 0, bank }, false, ReqId(0));
+        if is_write {
+            DramCommand::Write { bank, row, col, auto_precharge, req }
+        } else {
+            DramCommand::Read { bank, row, col, auto_precharge, req }
+        }
+    }
+
+    fn pre(bank: u32, row: u32, slice: u32) -> DramCommand {
+        DramCommand::Precharge { bank: BankRef { channel: 0, bank }, row: Some(row), slice }
+    }
+
+    const REFRESH: DramCommand = DramCommand::Refresh { channel: 0 };
+
+    /// Issues `cmd` at its earliest time from `at`; returns that time and
+    /// the data-bus end of a column command.
+    fn issue(d: &mut DramDevice, cmd: DramCommand, at: Ns) -> (Ns, Option<Ns>) {
+        let t = d.earliest(&cmd, at).unwrap();
+        (t, d.issue(cmd, t).unwrap().map(|c| c.at))
     }
 
     /// Figure 4: commands to different bank groups can be tCCDS apart and
     /// keep the data bus gapless; same group must wait tCCDL.
     #[test]
     fn fig4_bank_group_overlap() {
-        let mut c = state(DramKind::QbHbm);
-        c.activate(0, 0, 10, 0, 0).unwrap();
-        c.activate(0, 1, 20, 0, 2).unwrap(); // tRRD = 2
-        let t0 = c.earliest_col(0, 0, 10, 0, false, 0).unwrap();
-        assert_eq!(t0, 16); // tRCD
-        let o0 = c.column(0, 0, 10, 0, false, t0).unwrap();
-        assert_eq!((o0.data_start, o0.data_end), (32, 34));
-        // Different group: tCCDS later; bus stays gapless.
-        let t1 = c.earliest_col(0, 1, 20, 0, false, t0).unwrap();
-        assert_eq!(t1, 18);
-        let o1 = c.column(0, 1, 20, 0, false, t1).unwrap();
-        assert_eq!((o1.data_start, o1.data_end), (34, 36));
+        let mut d = device(DramKind::QbHbm);
+        d.issue(act(0, 10, 0), 0).unwrap();
+        d.issue(act(1, 20, 0), 2).unwrap(); // tRRD = 2
+        let (t0, end0) = issue(&mut d, col(0, 10, 0, false), 0);
+        assert_eq!((t0, end0), (16, Some(34))); // tRCD; data 32..34
+                                                // Different group: tCCDS later; bus stays gapless.
+        assert_eq!(issue(&mut d, col(1, 20, 0, false), t0), (18, Some(36)));
         // Same group as bank 0: tCCDL after its column.
-        let t2 = c.earliest_col(0, 0, 10, 0, false, t0).unwrap();
-        assert_eq!(t2, t0 + 4);
+        assert_eq!(d.earliest(&col(0, 10, 0, false), t0).unwrap(), t0 + 4);
     }
 
     #[test]
     fn trrd_spaces_activates_across_banks() {
-        let mut c = state(DramKind::QbHbm);
-        c.activate(0, 0, 1, 0, 0).unwrap();
-        assert_eq!(c.earliest_act(0, 1, 2, 0, 0).unwrap(), 2);
-        let err = c.activate(0, 1, 2, 0, 1).unwrap_err();
-        assert_eq!(err.rule, Rule::ActTooEarly);
-        assert_eq!(err.earliest, Some(2));
+        let mut d = device(DramKind::QbHbm);
+        d.issue(act(0, 1, 0), 0).unwrap();
+        assert_eq!(d.earliest(&act(1, 2, 0), 0).unwrap(), 2);
+        let err = d.issue(act(1, 2, 0), 1).unwrap_err();
+        assert_eq!((err.rule, err.earliest), (Rule::CmdBusBusy, Some(2)));
+        // A wider tRRD than the 2 ns row-bus slot is the binding fence.
+        let mut cfg = DramConfig::new(DramKind::QbHbm);
+        cfg.timing.t_rrd = 8;
+        let mut d = DramDevice::new(cfg);
+        d.issue(act(0, 1, 0), 0).unwrap();
+        let err = d.issue(act(1, 2, 0), 7).unwrap_err();
+        assert_eq!((err.rule, err.earliest), (Rule::ActTooEarly, Some(8)));
     }
 
     #[test]
     fn write_to_read_turnaround() {
-        let mut c = state(DramKind::QbHbm);
-        c.activate(0, 0, 1, 0, 0).unwrap();
-        c.activate(0, 1, 1, 0, 2).unwrap();
-        let wt = c.earliest_col(0, 0, 1, 0, true, 0).unwrap();
-        let w = c.column(0, 0, 1, 0, true, wt).unwrap();
+        let mut d = device(DramKind::QbHbm);
+        d.issue(act(0, 1, 0), 0).unwrap();
+        d.issue(act(1, 1, 0), 2).unwrap();
+        let (_, w_end) = issue(&mut d, col(0, 1, 0, true), 0);
+        let w_end = w_end.unwrap();
         // Same-group read: tWTRl after write data end.
-        let r_same = c.earliest_col(0, 0, 1, 0, false, 0).unwrap();
-        assert!(r_same >= w.data_end + 8, "{r_same} vs {}", w.data_end);
+        let r_same = d.earliest(&col(0, 1, 0, false), 0).unwrap();
+        assert!(r_same >= w_end + 8, "{r_same} vs {w_end}");
         // Different-group read: only tWTRs.
-        let r_diff = c.earliest_col(0, 1, 1, 0, false, 0).unwrap();
-        assert!(r_diff >= w.data_end + 3);
+        let r_diff = d.earliest(&col(1, 1, 0, false), 0).unwrap();
+        assert!(r_diff >= w_end + 3);
         assert!(r_diff < r_same);
     }
 
     #[test]
     fn data_bus_serialises_and_bubbles_on_turnaround() {
-        let mut c = state(DramKind::QbHbm);
-        c.activate(0, 0, 1, 0, 0).unwrap();
-        let rt = c.earliest_col(0, 0, 1, 0, false, 0).unwrap();
-        let r = c.column(0, 0, 1, 0, false, rt).unwrap();
+        let mut d = device(DramKind::QbHbm);
+        d.issue(act(0, 1, 0), 0).unwrap();
+        let (rt, r_end) = issue(&mut d, col(0, 1, 0, false), 0);
         // Read->write: write data must start after read data + bubble.
-        let wt = c.earliest_col(0, 0, 1, 0, true, rt).unwrap();
-        let w = c.column(0, 0, 1, 0, true, wt).unwrap();
-        assert!(w.data_start >= r.data_end + TURNAROUND_BUBBLE);
+        let (wt, w_end) = issue(&mut d, col(0, 1, 0, true), rt);
+        let w_start = w_end.unwrap() - d.config().timing.t_burst;
+        assert_eq!(wt + d.config().timing.t_wl, w_start);
+        assert!(w_start >= r_end.unwrap() + TURNAROUND_BUBBLE);
     }
 
     #[test]
     fn fgdram_grain_serialises_columns_at_tburst() {
-        let mut c = state(DramKind::Fgdram);
-        c.activate(0, 0, 1, 0, 0).unwrap();
-        c.activate(0, 1, 1, 0, 2).unwrap();
-        let t0 = c.earliest_col(0, 0, 1, 0, false, 0).unwrap();
-        c.column(0, 0, 1, 0, false, t0).unwrap();
+        let mut d = device(DramKind::Fgdram);
+        d.issue(act(0, 1, 0), 0).unwrap();
+        // Pseudobank 1 shares grain 0's command channel: 3 ns row slot.
+        d.issue(act(1, 1, 0), 3).unwrap();
+        let (t0, _) = issue(&mut d, col(0, 1, 0, false), 0);
         // Both pseudobanks share the serial bus: next column >= tCCDL = 16.
-        let t1 = c.earliest_col(0, 1, 1, 0, false, 0).unwrap();
-        assert_eq!(t1, t0 + 16);
+        assert_eq!(d.earliest(&col(1, 1, 0, false), 0).unwrap(), t0 + 16);
     }
 
     #[test]
     fn grain_subarray_conflict_guard() {
-        let mut c = state(DramKind::Fgdram);
+        let mut d = device(DramKind::Fgdram);
         // Rows 0 and 5 are both in subarray 0 (512 rows/subarray).
-        c.activate(0, 0, 5, 0, 0).unwrap();
-        let err = c.earliest_act(0, 1, 9, 0, 10).unwrap_err();
-        assert_eq!(err.rule, Rule::SubarrayConflict);
+        d.issue(act(0, 5, 0), 0).unwrap();
+        assert_eq!(d.earliest(&act(1, 9, 0), 10).unwrap_err().rule, Rule::SubarrayConflict);
         // The *same* row in the other pseudobank is fine (same MWL).
-        assert!(c.earliest_act(0, 1, 5, 0, 10).is_ok());
+        assert!(d.earliest(&act(1, 5, 0), 10).is_ok());
         // A different subarray is fine.
-        assert!(c.earliest_act(0, 1, 600, 0, 10).is_ok());
+        assert!(d.earliest(&act(1, 600, 0), 10).is_ok());
     }
 
     #[test]
     fn refresh_blocks_channel_for_trfc() {
-        let mut c = state(DramKind::QbHbm);
-        c.activate(0, 0, 1, 0, 0).unwrap();
+        let mut d = device(DramKind::QbHbm);
+        d.issue(act(0, 1, 0), 0).unwrap();
         // Refresh with an open row is rejected.
-        assert_eq!(c.earliest_refresh(0, 100).unwrap_err().rule, Rule::RefreshConflict);
-        let pre = c.earliest_pre(0, 0, 1, 0, 0).unwrap();
-        c.precharge(0, 0, 1, 0, pre).unwrap();
-        let t = c.earliest_refresh(0, pre).unwrap();
-        c.refresh(0, t).unwrap();
-        assert_eq!(c.earliest_act(0, 0, 1, 0, t).unwrap(), t + 160);
-        assert_eq!(c.counters(0).refreshes, 1);
+        assert_eq!(d.earliest(&REFRESH, 100).unwrap_err().rule, Rule::RefreshConflict);
+        let (pre_at, _) = issue(&mut d, pre(0, 1, 0), 0);
+        let (t, _) = issue(&mut d, REFRESH, pre_at);
+        assert_eq!(d.earliest(&act(0, 1, 0), t).unwrap(), t + 160);
+        assert_eq!(d.state().counters(0).refreshes, 1);
     }
 
     #[test]
     fn faw_limits_activation_bursts() {
         // HBM2 channel, 16 banks: issue 8 activates as fast as legal, then
         // the 9th must respect the 12 ns window.
-        let mut c = state(DramKind::Hbm2);
+        let mut d = device(DramKind::Hbm2);
         let mut t = 0;
         for b in 0..8 {
-            t = c.earliest_act(0, b, 1, 0, t).unwrap();
-            c.activate(0, b, 1, 0, t).unwrap();
+            t = issue(&mut d, act(b, 1, 0), t).0;
         }
         // 8 activates at 0,2,4,...,14 (tRRD=2). Window not binding here
         // (spread is already 14 ns > 12), so this documents tRRD dominance.
         assert_eq!(t, 14);
-        let e = c.earliest_act(0, 8, 1, 0, t).unwrap();
-        assert_eq!(e, 16);
+        assert_eq!(d.earliest(&act(8, 1, 0), t).unwrap(), 16);
     }
 
     #[test]
     fn counters_track_operations() {
-        let mut c = state(DramKind::QbHbm);
-        c.activate(0, 0, 1, 0, 0).unwrap();
-        let t = c.earliest_col(0, 0, 1, 0, false, 0).unwrap();
-        c.column(0, 0, 1, 0, false, t).unwrap();
-        let t = c.earliest_col(0, 0, 1, 0, true, t).unwrap();
-        c.column(0, 0, 1, 0, true, t).unwrap();
-        let t = c.earliest_pre(0, 0, 1, 0, t).unwrap();
-        c.precharge(0, 0, 1, 0, t).unwrap();
-        let k = c.counters(0);
+        let mut d = device(DramKind::QbHbm);
+        d.issue(act(0, 1, 0), 0).unwrap();
+        let (t, _) = issue(&mut d, col(0, 1, 0, false), 0);
+        let (t, _) = issue(&mut d, col(0, 1, 0, true), t);
+        issue(&mut d, pre(0, 1, 0), t);
+        let k = d.state().counters(0);
         assert_eq!((k.activates, k.read_atoms, k.write_atoms, k.precharges), (1, 1, 1, 1));
     }
 
     #[test]
     fn out_of_range_bank_rejected() {
-        let c = state(DramKind::QbHbm);
-        assert_eq!(c.earliest_act(0, 99, 0, 0, 0).unwrap_err().rule, Rule::OutOfRange);
+        let s = DeviceState::new(&DramConfig::new(DramKind::QbHbm));
+        assert_eq!(s.earliest_act(0, 99, 0, 0, 0).unwrap_err().rule, Rule::OutOfRange);
+    }
+
+    /// A precharge names the open row it closes: another row of the same
+    /// slot is not open, so nothing closes.
+    #[test]
+    fn precharge_of_a_row_that_is_not_open_is_rejected() {
+        let mut d = device(DramKind::QbHbm);
+        d.issue(act(0, 0, 0), 0).unwrap();
+        issue(&mut d, col(0, 0, 0, false), 0);
+        assert_eq!(d.earliest(&pre(0, 1, 0), 16).unwrap_err().rule, Rule::PreNothingOpen);
+        assert_eq!(d.state().first_open(0, 0).map(|o| o.row), Some(0));
+        assert_eq!(d.earliest(&pre(0, 0, 0), 16), Ok(29));
     }
 
     #[test]
@@ -1040,22 +1010,22 @@ mod tests {
         // QB-HBM+SALP+SC: 32 subarrays x 4 slices = 128 slots per bank,
         // two bitset words. Open rows in both words and iterate in slot
         // order.
-        let mut c = state(DramKind::QbHbmSalpSc);
-        c.activate(0, 0, 0, 0, 0).unwrap(); // subarray 0, slice 0 -> slot 0
-        c.activate(0, 0, 20 * 512, 3, 2).unwrap(); // subarray 20 -> slot 83
-        let open: Vec<_> = c.open_rows(0, 0).collect();
+        let mut d = device(DramKind::QbHbmSalpSc);
+        d.issue(act(0, 0, 0), 0).unwrap(); // subarray 0, slice 0 -> slot 0
+        d.issue(act(0, 20 * 512, 3), 2).unwrap(); // subarray 20 -> slot 83
+        let open: Vec<_> = d.state().open_rows(0, 0).collect();
         assert_eq!(open.len(), 2);
         assert_eq!((open[0].row, open[0].slice), (0, 0));
         assert_eq!((open[1].row, open[1].slice), (20 * 512, 3));
         // Subarray 1 and 19/21 are adjacent to open subarrays.
-        assert_eq!(c.earliest_act(0, 0, 512, 0, 50).unwrap_err().rule, Rule::AdjacentSubarray);
-        assert_eq!(c.earliest_act(0, 0, 21 * 512, 0, 50).unwrap_err().rule, Rule::AdjacentSubarray);
+        let adjacent = |d: &DramDevice, row| d.earliest(&act(0, row, 0), 50).unwrap_err().rule;
+        assert_eq!(adjacent(&d, 512), Rule::AdjacentSubarray);
+        assert_eq!(adjacent(&d, 21 * 512), Rule::AdjacentSubarray);
         // Subarray 10 is fine.
-        assert!(c.earliest_act(0, 0, 10 * 512, 0, 50).is_ok());
+        assert!(d.earliest(&act(0, 10 * 512, 0), 50).is_ok());
         // Closing the subarray-20 row clears its mask bit.
-        let pre = c.earliest_pre(0, 0, 20 * 512, 3, 50).unwrap();
-        c.precharge(0, 0, 20 * 512, 3, pre).unwrap();
-        assert!(c.earliest_act(0, 0, 21 * 512, 0, pre + 10).is_ok());
-        assert_eq!(c.open_rows(0, 0).count(), 1);
+        let (t, _) = issue(&mut d, pre(0, 20 * 512, 3), 50);
+        assert!(d.earliest(&act(0, 21 * 512, 0), t + 10).is_ok());
+        assert_eq!(d.state().open_rows(0, 0).count(), 1);
     }
 }

@@ -21,9 +21,9 @@
 //!   graceful-degradation bookkeeping: bounded retry with exponential
 //!   backoff on CE, threshold-based grain exclusion, fault-storm
 //!   detection, and the CE/DUE/retry telemetry series.
-//! - [`timing`] — command timing-violation injection: a per-rule catalogue
-//!   of minimal violating traces and a seeded perturber for real traces,
-//!   both caught by the independent protocol checker in `fgdram-dram`.
+//! - [`timing`] — command timing-violation injection: a seeded perturber
+//!   that pulls commands of a real trace earlier, for the independent
+//!   protocol checker in `fgdram-dram` to catch (`--trace-check`).
 //! - [`chaos`] — the seeded plumbing shared with chaos layers above the
 //!   simulation (per-site seed derivation, decision dice, byte
 //!   corruption, CRC-32); `fgdram-serve` builds its wire/disk fault

@@ -1,144 +1,11 @@
-//! Command timing-violation injection.
-//!
-//! Two tools for exercising the independent protocol checker: a catalogue
-//! of minimal hand-built traces that each provoke exactly one
-//! [`Rule`] variant ([`violation_trace`]), and a seeded perturber that
-//! pulls random commands of a legal trace earlier in time
-//! ([`perturb`]) so `--trace-check` can demonstrate the checker catching
-//! injected faults in a real simulation's command stream.
+//! Command timing-violation injection: a seeded perturber that pulls
+//! random commands of a legal trace earlier in time ([`perturb`]), so
+//! `--trace-check` can show the independent protocol checker in
+//! `fgdram-dram` catching injected faults in a real simulation's command
+//! stream.
 
-use fgdram_dram::Rule;
-use fgdram_model::addr::ReqId;
-use fgdram_model::cmd::{BankRef, DramCommand, TimedCommand};
-use fgdram_model::config::{DramConfig, DramKind};
+use fgdram_model::cmd::TimedCommand;
 use fgdram_model::rng::SmallRng;
-use fgdram_model::units::Ns;
-
-fn b(channel: u32, bank: u32) -> BankRef {
-    BankRef { channel, bank }
-}
-
-fn act(ch: u32, bank: u32, row: u32, at: Ns) -> TimedCommand {
-    TimedCommand { at, cmd: DramCommand::Activate { bank: b(ch, bank), row, slice: 0 } }
-}
-
-fn rd(ch: u32, bank: u32, row: u32, col: u32, at: Ns) -> TimedCommand {
-    TimedCommand {
-        at,
-        cmd: DramCommand::Read {
-            bank: b(ch, bank),
-            row,
-            col,
-            auto_precharge: false,
-            req: ReqId(0),
-        },
-    }
-}
-
-fn wr(ch: u32, bank: u32, row: u32, col: u32, at: Ns) -> TimedCommand {
-    TimedCommand {
-        at,
-        cmd: DramCommand::Write {
-            bank: b(ch, bank),
-            row,
-            col,
-            auto_precharge: false,
-            req: ReqId(0),
-        },
-    }
-}
-
-fn pre(ch: u32, bank: u32, row: u32, at: Ns) -> TimedCommand {
-    TimedCommand { at, cmd: DramCommand::Precharge { bank: b(ch, bank), row: Some(row), slice: 0 } }
-}
-
-/// A minimal trace provoking exactly `rule`, with the device config it
-/// must be checked under and the issue time of the violating command.
-///
-/// Each trace is legal up to its final command; feeding it to
-/// `ProtocolChecker::check_trace` must fail with `rule` at the returned
-/// time. Some rules need their own timing: QB-HBM's tRRD equals the row
-/// command-bus occupancy, so a clean `ActRrd` (not masked by
-/// [`Rule::CmdBusBusy`]) requires a widened tRRD, and `ActFaw` uses a
-/// stretched rolling window so the tRRD floor cannot satisfy it first.
-pub fn violation_trace(rule: Rule) -> (DramConfig, Vec<TimedCommand>, Ns) {
-    match rule {
-        Rule::ActTooEarly => {
-            // Precharge at tRAS, reactivate 1 ns before tRC expires.
-            (
-                DramConfig::new(DramKind::QbHbm),
-                vec![act(0, 0, 5, 0), pre(0, 0, 5, 29), act(0, 0, 6, 44)],
-                44,
-            )
-        }
-        Rule::ActOnOpenRow => {
-            (DramConfig::new(DramKind::QbHbm), vec![act(0, 0, 5, 0), act(0, 0, 6, 45)], 45)
-        }
-        Rule::ActRrd => {
-            // QB-HBM's tRRD (2 ns) equals the row-bus occupancy, so the bus
-            // rule would mask it; widen tRRD past the bus window.
-            let mut cfg = DramConfig::new(DramKind::QbHbm);
-            cfg.timing.t_rrd = 8;
-            (cfg, vec![act(0, 0, 5, 0), act(0, 1, 6, 4)], 4)
-        }
-        Rule::ActFaw => {
-            // Four activates fill a stretched window; the fifth lands inside.
-            let mut cfg = DramConfig::new(DramKind::Hbm2);
-            cfg.timing.t_faw = 40;
-            cfg.timing.acts_in_faw = 4;
-            let mut trace: Vec<TimedCommand> =
-                (0..4).map(|i| act(0, i, 1, (i as u64) * 2)).collect();
-            trace.push(act(0, 4, 1, 8));
-            (cfg, trace, 8)
-        }
-        Rule::SubarrayConflict => {
-            // FGDRAM grain rule: rows 3 and 7 share subarray 0 across the
-            // two pseudobanks.
-            (DramConfig::new(DramKind::Fgdram), vec![act(0, 0, 3, 0), act(0, 1, 7, 4)], 4)
-        }
-        Rule::AdjacentSubarray => {
-            // SALP: rows 100 and 600 live in adjacent subarrays.
-            (DramConfig::new(DramKind::QbHbmSalpSc), vec![act(0, 0, 100, 0), act(0, 0, 600, 4)], 4)
-        }
-        Rule::RowNotOpen => {
-            (DramConfig::new(DramKind::QbHbm), vec![act(0, 0, 5, 0), rd(0, 0, 9, 0, 16)], 16)
-        }
-        Rule::ColBeforeRcd => {
-            (DramConfig::new(DramKind::QbHbm), vec![act(0, 0, 5, 0), rd(0, 0, 5, 0, 10)], 10)
-        }
-        Rule::ColCcd => {
-            // Two same-bank-group reads 2 ns apart against tCCDL = 4.
-            (
-                DramConfig::new(DramKind::QbHbm),
-                vec![act(0, 0, 5, 0), rd(0, 0, 5, 0, 16), rd(0, 0, 5, 1, 18)],
-                18,
-            )
-        }
-        Rule::DataBusConflict => {
-            // Same-group read 4 ns before the write-to-read turnaround
-            // allows it (write data ends at 22, +tWTRl 8 = 30).
-            (
-                DramConfig::new(DramKind::QbHbm),
-                vec![act(0, 0, 5, 0), wr(0, 0, 5, 0, 16), rd(0, 0, 5, 1, 26)],
-                26,
-            )
-        }
-        Rule::PreTooEarly => {
-            (DramConfig::new(DramKind::QbHbm), vec![act(0, 0, 5, 0), pre(0, 0, 5, 20)], 20)
-        }
-        Rule::PreNothingOpen => (DramConfig::new(DramKind::QbHbm), vec![pre(0, 0, 5, 10)], 10),
-        Rule::RefreshConflict => {
-            let refresh = TimedCommand { at: 50, cmd: DramCommand::Refresh { channel: 0 } };
-            (DramConfig::new(DramKind::QbHbm), vec![act(0, 0, 5, 0), refresh], 50)
-        }
-        Rule::CmdBusBusy => {
-            // FGDRAM grains 0 and 1 share a command channel; activates
-            // occupy the row bus for 4 ns.
-            (DramConfig::new(DramKind::Fgdram), vec![act(0, 0, 3, 0), act(1, 0, 900, 2)], 2)
-        }
-        Rule::OutOfRange => (DramConfig::new(DramKind::QbHbm), vec![act(0, 9_999, 5, 0)], 0),
-    }
-}
 
 /// Perturbs `n` randomly-chosen commands of a (presumed legal) trace,
 /// pulling each 1–8 ns earlier, then restores time order with a stable
@@ -167,38 +34,23 @@ pub fn perturb(trace: &mut [TimedCommand], seed: u64, n: u32) -> usize {
 mod tests {
     use super::*;
     use fgdram_dram::ProtocolChecker;
+    use fgdram_model::addr::ReqId;
+    use fgdram_model::cmd::{BankRef, DramCommand};
+    use fgdram_model::config::{DramConfig, DramKind};
 
-    #[test]
-    fn catalogue_covers_every_rule() {
-        for rule in Rule::ALL {
-            let (cfg, trace, expect_at) = violation_trace(rule);
-            let err = ProtocolChecker::new(cfg)
-                .check_trace(&trace)
-                .expect_err(&format!("{rule:?} trace must violate"));
-            assert_eq!(err.rule, rule, "wrong rule for {rule:?}: {err}");
-            assert_eq!(err.at, expect_at, "wrong cycle for {rule:?}: {err}");
-        }
-    }
-
-    #[test]
-    fn catalogue_prefixes_are_legal() {
-        // Every command before the violating one passes the checker, so
-        // each catalogue entry isolates exactly one rule.
-        for rule in Rule::ALL {
-            let (cfg, trace, _) = violation_trace(rule);
-            let mut c = ProtocolChecker::new(cfg);
-            c.check_trace(&trace[..trace.len() - 1])
-                .unwrap_or_else(|e| panic!("{rule:?} prefix must be legal, got {e}"));
-        }
-    }
-
+    /// Row 5 opened, read twice and closed, then row 6 opened: legal on
+    /// QB-HBM at exactly these times.
     fn legal_trace() -> Vec<TimedCommand> {
+        let bank = BankRef { channel: 0, bank: 0 };
+        let at = |at, cmd| TimedCommand { at, cmd };
+        let rd =
+            |col| DramCommand::Read { bank, row: 5, col, auto_precharge: false, req: ReqId(0) };
         vec![
-            act(0, 0, 5, 0),
-            rd(0, 0, 5, 0, 16),
-            rd(0, 0, 5, 1, 20),
-            pre(0, 0, 5, 29),
-            act(0, 0, 6, 45),
+            at(0, DramCommand::Activate { bank, row: 5, slice: 0 }),
+            at(16, rd(0)),
+            at(20, rd(1)),
+            at(29, DramCommand::Precharge { bank, row: Some(5), slice: 0 }),
+            at(45, DramCommand::Activate { bank, row: 6, slice: 0 }),
         ]
     }
 

@@ -192,7 +192,7 @@ impl Log2Histogram {
 }
 
 /// Tracks an interval-averaged utilisation: busy time over a window.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusyTracker {
     busy_until: Ns,
     busy_total: Ns,

@@ -1,12 +1,14 @@
-//! Randomized command schedules driven through the device model, with the
-//! accepted trace replayed through the independent checker: the two
-//! implementations must agree that every accepted schedule is legal, and
-//! the device must reject anything issued before its own `earliest` time.
-//! Schedules are drawn from the repo's seeded PRNG, so runs reproduce.
+//! Randomized command schedules driven through the device model, with each
+//! accepted command fed to the independent checker as it issues: the two
+//! implementations must agree that every accepted command is legal, the
+//! device must reject anything issued before its own `earliest` time, and
+//! a command issued at that time must break a checker rule one nanosecond
+//! earlier. Schedules are drawn from the repo's seeded PRNG, so runs
+//! reproduce.
 
 use fgdram::dram::{DramDevice, ProtocolChecker, Rule, TryIssue};
 use fgdram::model::addr::ReqId;
-use fgdram::model::cmd::{BankRef, DramCommand};
+use fgdram::model::cmd::{BankRef, DramCommand, TimedCommand};
 use fgdram::model::config::{DramConfig, DramKind};
 use fgdram::model::rng::SmallRng;
 
@@ -31,11 +33,14 @@ fn arb_op(r: &mut SmallRng) -> (u8, u8, OpChoice, u8) {
 
 /// Runs a random schedule on `kind`; every command is issued at the
 /// device's own `earliest` time plus jitter, so every acceptance must be
-/// checker-clean, and structural rejections must never mutate state.
+/// checker-clean, every issue at exactly `earliest` tight, and structural
+/// rejections must never reach the trace.
 fn run_random_schedule(kind: DramKind, ops: &[(u8, u8, OpChoice, u8)]) {
     let cfg = DramConfig::new(kind);
     let mut dev = DramDevice::new(cfg.clone());
     dev.enable_trace();
+    let mut checker = ProtocolChecker::new(cfg.clone());
+    let mut accepted = Vec::new();
     let mut now = 0u64;
     for &(ch_sel, bank_sel, op, jitter) in ops {
         let channel = ch_sel as u32 % cfg.channels.min(8) as u32;
@@ -92,11 +97,17 @@ fn run_random_schedule(kind: DramKind, ops: &[(u8, u8, OpChoice, u8)]) {
                 // ...and issuing at `earliest` (+ jitter) must succeed,
                 // except when another command claimed a shared resource —
                 // none can have, since we issue immediately.
-                let at = t + (jitter % 3) as u64;
-                // Recompute: jitter may have changed nothing, but shared
-                // state is untouched between the two calls.
-                let at = dev.earliest(&cmd, at).expect("still schedulable");
+                let at = dev.earliest(&cmd, t + (jitter % 3) as u64).expect("still schedulable");
+                if at == t && t > now {
+                    // Tight: the checker rejects it one nanosecond earlier
+                    // (and records nothing).
+                    let early = TimedCommand { at: t - 1, cmd };
+                    assert!(checker.check(&early).is_err(), "{cmd:?} is legal before {t}");
+                }
                 dev.issue(cmd, at).expect("issue at earliest succeeds");
+                let tc = TimedCommand { at, cmd };
+                checker.check(&tc).expect("accepted command is checker-clean");
+                accepted.push(tc);
                 now = at;
             }
             Err(_) => {
@@ -106,8 +117,7 @@ fn run_random_schedule(kind: DramKind, ops: &[(u8, u8, OpChoice, u8)]) {
             }
         }
     }
-    let trace = dev.take_trace();
-    ProtocolChecker::new(cfg).check_trace(&trace).expect("accepted schedule is checker-clean");
+    assert_eq!(dev.take_trace(), accepted, "the trace holds exactly the accepted commands");
 }
 
 fn random_schedules_agree_with_checker(kind: DramKind, seed: u64, cases: usize, max_ops: u64) {

@@ -5,7 +5,7 @@
 
 use fgdram::core::experiments::{self, Parallelism, Scale};
 use fgdram::core::{SimError, SystemBuilder};
-use fgdram::dram::{ProtocolChecker, Rule};
+use fgdram::dram::ProtocolChecker;
 use fgdram::faults::{timing, FaultSpec};
 use fgdram::model::config::{DramConfig, DramKind};
 use fgdram::model::json;
@@ -217,21 +217,9 @@ fn fault_telemetry_validates_and_carries_the_fault_series() {
 }
 
 // ---------------------------------------------------------------------
-// Timing-fault injection: the catalogue violates every checker rule, and
-// the independent checker pins both the rule and the cycle.
+// Timing-fault injection: the independent checker catches commands of a
+// real trace pulled earlier.
 // ---------------------------------------------------------------------
-
-#[test]
-fn every_checker_rule_is_triggerable_and_pinned_to_its_cycle() {
-    for &rule in Rule::ALL.iter() {
-        let (cfg, trace, at) = timing::violation_trace(rule);
-        let report = ProtocolChecker::new(cfg).report_trace(&trace);
-        assert_eq!(report.violations.len(), 1, "{rule:?}: exactly one violation");
-        assert_eq!(report.violations[0].rule, rule, "{rule:?}: wrong rule caught");
-        assert_eq!(report.violations[0].at, at, "{rule:?}: wrong cycle");
-        assert!(!report.is_clean() && report.commands_checked == trace.len());
-    }
-}
 
 #[test]
 fn perturbed_real_trace_is_caught_by_the_checker() {
