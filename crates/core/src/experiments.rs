@@ -110,12 +110,6 @@ impl Scale {
         self
     }
 
-    /// Returns `self` with per-cell completion logging enabled.
-    pub fn with_progress(mut self) -> Self {
-        self.parallelism.progress = true;
-        self
-    }
-
     fn cap<'a>(&self, list: &'a [Workload]) -> &'a [Workload] {
         match self.max_workloads {
             Some(n) => &list[..n.min(list.len())],

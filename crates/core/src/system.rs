@@ -801,12 +801,6 @@ impl System {
             }),
         }
     }
-
-    /// The fault engine's cumulative counters (`None` when no effective
-    /// fault spec is attached).
-    pub fn fault_counters(&self) -> Option<fgdram_faults::FaultCounters> {
-        self.faults.as_ref().map(FaultEngine::counters)
-    }
 }
 
 #[cfg(test)]

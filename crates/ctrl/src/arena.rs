@@ -62,7 +62,7 @@ use crate::scheduler::Pending;
 
 /// One channel's request slab; every [`FifoRing`] of the channel owns the
 /// same fixed segment of `buf` and of `keys`.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RequestArena {
     buf: Vec<Pending>,
     /// `buf[i].key()` for every live position `i`.
@@ -98,7 +98,7 @@ impl RequestArena {
 /// contiguous at `[start, start+len)`. Copyable handle — the backing slab
 /// always comes in as an explicit argument, so one struct can own many
 /// rings plus the shared arena without borrow fights.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FifoRing {
     off: u32,
     cap: u32,

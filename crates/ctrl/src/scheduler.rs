@@ -49,8 +49,10 @@
 //! Every arrival still makes its channel due (as before), so a skipped
 //! pass is replaced by its exact result and the controller's wake
 //! sequence — observable through the GPU issue batcher — is unchanged.
-//! Debug builds re-run every skipped pass and assert it issued nothing
-//! and computed the same wake (`Controller::tick`).
+//! The test-only `wake_explorer` checks these facts on every arrival
+//! sequence inside a small bound, and debug builds re-run every skipped
+//! pass and assert it issued nothing and computed the same wake
+//! (`Controller::tick`).
 
 use std::collections::VecDeque;
 
@@ -70,7 +72,7 @@ use crate::stats::CtrlStats;
 /// Exactly 32 bytes — two per cache line of the [`RequestArena`] slab.
 /// The narrow fields cannot truncate: [`Pending::check_geometry`] gates
 /// `Controller::new`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Pending {
     pub id: ReqId,
     pub arrived: Ns,
@@ -138,7 +140,7 @@ const FAR_FUTURE: Ns = Ns::MAX / 4;
 
 /// A sleeping channel's wake, split by what gates it (see the module
 /// docs): enough to recompute, at a later `now`, the wake a pass would.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Wake {
     /// Earliest activate / precharge / refresh, row bus included.
     row: Ns,
@@ -174,7 +176,7 @@ impl Wake {
 /// (defensive cap; normal operation issues a handful).
 const MAX_STEPS_PER_TICK: usize = 64;
 
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ChannelSched {
     channel: u32,
     banks: usize,
@@ -1022,6 +1024,9 @@ impl ChannelSched {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod wake_explorer;
 
 #[cfg(test)]
 mod tests {

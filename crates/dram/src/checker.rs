@@ -15,7 +15,12 @@ use fgdram_model::config::{DramConfig, TimingParams};
 use fgdram_model::units::Ns;
 
 use crate::error::{ProtocolError, Rule, ViolationReport, MAX_REPORTED_VIOLATIONS};
-use crate::state::TURNAROUND_BUBBLE;
+
+/// Idle data bus between two bursts of opposite direction: one 500 MHz
+/// clock, the clock `TimingParams::t_wl` counts in. Table 2 gives no
+/// value; this is the model's. The device keeps its own copy, so a wrong
+/// value there disagrees with this one.
+const TURNAROUND_BUBBLE: Ns = 2;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct SlotState {
@@ -31,7 +36,6 @@ struct BankHistory {
     open: HashMap<(u32, u32), SlotState>,
     /// Per-(domain, slice): earliest next activate (tRC / tRP fences).
     next_act: HashMap<(u32, u32), Ns>,
-    last_act: Option<Ns>,
 }
 
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -161,20 +165,23 @@ impl ProtocolChecker {
     /// that exists in the configured part.
     fn check_range(&self, tc: &TimedCommand) -> Result<(), ProtocolError> {
         let cols = self.cfg.atoms_per_row() as u32;
+        let slice_ok = |slice: u32| u64::from(slice) < self.cfg.slices_per_row();
         let in_bank = |b: fgdram_model::cmd::BankRef| {
             (b.channel as usize) < self.cfg.channels
                 && (b.bank as usize) < self.cfg.banks_per_channel
         };
         let ok = match tc.cmd {
-            DramCommand::Activate { bank, row, .. } => {
-                in_bank(bank) && (row as usize) < self.cfg.rows_per_bank
+            DramCommand::Activate { bank, row, slice } => {
+                in_bank(bank) && (row as usize) < self.cfg.rows_per_bank && slice_ok(slice)
             }
             DramCommand::Read { bank, row, col, .. }
             | DramCommand::Write { bank, row, col, .. } => {
                 in_bank(bank) && (row as usize) < self.cfg.rows_per_bank && col < cols
             }
-            DramCommand::Precharge { bank, row, .. } => {
-                in_bank(bank) && row.is_none_or(|r| (r as usize) < self.cfg.rows_per_bank)
+            DramCommand::Precharge { bank, row, slice } => {
+                in_bank(bank)
+                    && row.is_none_or(|r| (r as usize) < self.cfg.rows_per_bank)
+                    && slice_ok(slice)
             }
             DramCommand::Refresh { channel } => (channel as usize) < self.cfg.channels,
         };
@@ -259,9 +266,6 @@ impl ProtocolChecker {
             if bh.next_act.get(&(dom, slice)).is_some_and(|&fence| at < fence) {
                 return Err(Self::err(tc, Rule::ActTooEarly));
             }
-            if bh.last_act.is_some_and(|last| at < last + t.t_rrd) {
-                return Err(Self::err(tc, Rule::ActRrd));
-            }
         }
 
         let ch = self.channels.entry(channel).or_default();
@@ -269,7 +273,6 @@ impl ProtocolChecker {
         ch.recent_acts.push(at);
         ch.last_act = Some(at);
         let bh = self.banks.entry((channel, bank)).or_default();
-        bh.last_act = Some(at);
         bh.next_act.insert((dom, slice), at + t.t_rc);
         bh.open.insert(
             (dom, slice),
@@ -436,15 +439,15 @@ mod tests {
     use fgdram_model::cmd::BankRef;
     use fgdram_model::config::DramKind;
 
-    fn b(ch: u32, bank: u32) -> BankRef {
+    pub(super) fn b(ch: u32, bank: u32) -> BankRef {
         BankRef { channel: ch, bank }
     }
 
-    fn act(ch: u32, bank: u32, row: u32, at: Ns) -> TimedCommand {
+    pub(super) fn act(ch: u32, bank: u32, row: u32, at: Ns) -> TimedCommand {
         TimedCommand { at, cmd: DramCommand::Activate { bank: b(ch, bank), row, slice: 0 } }
     }
 
-    fn rd(ch: u32, bank: u32, row: u32, col: u32, at: Ns) -> TimedCommand {
+    pub(super) fn rd(ch: u32, bank: u32, row: u32, col: u32, at: Ns) -> TimedCommand {
         TimedCommand {
             at,
             cmd: DramCommand::Read {
@@ -645,6 +648,25 @@ mod tests {
         assert_eq!(dev.earliest(&trace[2].cmd, 100).unwrap_err().rule, Rule::ActOnOpenRow);
     }
 
+    /// An activate or precharge of a row or slice the part does not have is
+    /// out of range in both models. Past the last row of the last bank a
+    /// precharge's slot index would leave the device's open-slot bitset.
+    #[test]
+    fn both_models_range_check_activate_and_precharge_fields() {
+        let cfg = DramConfig::new(DramKind::QbHbmSalpSc);
+        let (rows, slices) = (cfg.rows_per_bank as u32, cfg.slices_per_row() as u32);
+        let dev = crate::DramDevice::new(cfg.clone());
+        for (bank, row, slice) in [(b(63, 3), rows + 600, 0), (b(0, 0), 0, slices)] {
+            let pre = DramCommand::Precharge { bank, row: Some(row), slice };
+            for cmd in [DramCommand::Activate { bank, row, slice }, pre] {
+                let checked = ProtocolChecker::new(cfg.clone()).check(&TimedCommand { at: 0, cmd });
+                assert_eq!(checked.map_err(|e| e.rule), Err(Rule::OutOfRange), "{cmd:?}");
+                let e = dev.earliest(&cmd, 0).map_err(|e| e.rule);
+                assert_eq!(e, Err(Rule::OutOfRange), "{cmd:?}");
+            }
+        }
+    }
+
     #[test]
     fn refresh_requires_closed_banks_and_blocks() {
         let mut c = checker(DramKind::QbHbm);
@@ -662,31 +684,10 @@ mod tests {
 
 #[cfg(test)]
 mod rule_coverage {
+    use super::tests::{act, b, rd};
     use super::*;
     use fgdram_model::addr::ReqId;
-    use fgdram_model::cmd::BankRef;
     use fgdram_model::config::DramKind;
-
-    fn b(ch: u32, bank: u32) -> BankRef {
-        BankRef { channel: ch, bank }
-    }
-
-    fn act(ch: u32, bank: u32, row: u32, at: Ns) -> TimedCommand {
-        TimedCommand { at, cmd: DramCommand::Activate { bank: b(ch, bank), row, slice: 0 } }
-    }
-
-    fn rd(ch: u32, bank: u32, row: u32, col: u32, at: Ns) -> TimedCommand {
-        TimedCommand {
-            at,
-            cmd: DramCommand::Read {
-                bank: b(ch, bank),
-                row,
-                col,
-                auto_precharge: false,
-                req: ReqId(0),
-            },
-        }
-    }
 
     fn wr(ch: u32, bank: u32, row: u32, col: u32, at: Ns) -> TimedCommand {
         TimedCommand {

@@ -178,16 +178,19 @@ impl DramDevice {
     fn check_ranges(&self, cmd: &DramCommand) -> Result<(), Reject> {
         let bank_ok = |bank: u32| (bank as usize) < self.cfg.banks_per_channel;
         let row_ok = |row: u32| (row as usize) < self.cfg.rows_per_bank;
+        let slice_ok = |slice: u32| u64::from(slice) < self.cfg.slices_per_row();
         let ok = (cmd.channel() as usize) < self.cfg.channels
             && match *cmd {
                 DramCommand::Activate { bank, row, slice } => {
-                    bank_ok(bank.bank) && row_ok(row) && (slice as u64) < self.cfg.slices_per_row()
+                    bank_ok(bank.bank) && row_ok(row) && slice_ok(slice)
                 }
                 DramCommand::Read { bank, row, col, .. }
                 | DramCommand::Write { bank, row, col, .. } => {
                     bank_ok(bank.bank) && row_ok(row) && (col as u64) < self.cfg.atoms_per_row()
                 }
-                DramCommand::Precharge { bank, .. } => bank_ok(bank.bank),
+                DramCommand::Precharge { bank, row, slice } => {
+                    bank_ok(bank.bank) && row.is_none_or(row_ok) && slice_ok(slice)
+                }
                 DramCommand::Refresh { .. } => true,
             };
         if ok {

@@ -41,7 +41,6 @@
 pub mod checker;
 pub mod device;
 pub mod error;
-pub mod faw;
 pub mod state;
 mod telemetry;
 

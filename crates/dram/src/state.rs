@@ -120,8 +120,6 @@ struct SlotState {
 /// One bank's packed hot state.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct BankState {
-    /// Shared-row-decoder fence: last activate + tRRD (0 = never).
-    decoder_free: Ns,
     /// One bit per subarray with >= 1 open slot. SALP's adjacent-subarray
     /// check probes the two neighbouring bits.
     sub_open_mask: u64,
@@ -265,16 +263,6 @@ impl DeviceState {
         }
     }
 
-    /// Number of channels (grains).
-    pub fn channels(&self) -> usize {
-        self.channels as usize
-    }
-
-    /// Number of banks (pseudobanks) per channel.
-    pub fn banks(&self) -> usize {
-        self.banks as usize
-    }
-
     // ---- index helpers -------------------------------------------------
 
     #[inline]
@@ -335,11 +323,6 @@ impl DeviceState {
     /// True when any slot of (`ch`, `bank`) holds an open row.
     pub fn any_open(&self, ch: u32, bank: u32) -> bool {
         self.bank_s[self.bank_index(ch, bank)].open_count > 0
-    }
-
-    /// True when any bank of `ch` holds an open row.
-    pub fn any_open_in_channel(&self, ch: u32) -> bool {
-        self.ch_s[ch as usize].open_count > 0
     }
 
     /// Iterates (`ch`, `bank`)'s open rows in ascending slot order (the
@@ -419,7 +402,7 @@ impl DeviceState {
         bank & (self.bank_groups - 1)
     }
 
-    // ---- tFAW ring (flattened `ActWindow` semantics) -------------------
+    // ---- tFAW ring ------------------------------------------------------
 
     #[inline]
     fn faw_earliest(&self, ch: u32, at: Ns) -> Ns {
@@ -505,11 +488,7 @@ impl DeviceState {
         if self.salp && self.adjacent_open(bi, row) {
             return Err(Reject::structural(Rule::AdjacentSubarray));
         }
-        // Shared row decoder: consecutive activates to the same bank keep
-        // at least tRRD between them even across subarrays.
-        let mut t = at
-            .max(self.slots[self.slot_base(bi) + slot as usize].next_act)
-            .max(self.bank_s[bi].decoder_free);
+        let mut t = at.max(self.slots[self.slot_base(bi) + slot as usize].next_act);
         if self.grain_guard {
             // Pseudobank subarray-conflict guard (Section 3.3): a sibling
             // pseudobank holding a *different* row of the same subarray
@@ -527,6 +506,8 @@ impl DeviceState {
                 }
             }
         }
+        // tRRD between any two activates of the channel, to one bank or
+        // two.
         let cs = &self.ch_s[ch as usize];
         t = t.max(cs.act_free);
         t = self.faw_earliest(ch, t);
@@ -552,7 +533,6 @@ impl DeviceState {
         let sub = slot / self.slices;
         let sci = bi * self.subarrays as usize + sub as usize;
         let b = &mut self.bank_s[bi];
-        b.decoder_free = at + self.timing.t_rrd;
         b.open_count += 1;
         if self.sub_open_count[sci] == 0 {
             b.sub_open_mask |= 1 << sub;

@@ -214,12 +214,6 @@ impl Picojoules {
 }
 
 impl PjPerBit {
-    /// Multiplies intensity by a bit count, giving total energy.
-    #[inline]
-    pub fn for_bits(self, bits: u64) -> Picojoules {
-        Picojoules::new(self.value() * bits as f64)
-    }
-
     /// The DRAM power drawn when streaming at `bw` with this per-bit energy.
     ///
     /// Used by the Figure 1a budget analysis: `P = e * BW`.

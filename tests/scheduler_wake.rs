@@ -19,24 +19,14 @@
 //! `now + 4` intervals, so a conflict precharge legal at `m` could sit
 //! until the next poll boundary (see DESIGN.md "Engine").
 //!
-//! [`open_arrivals`] adds requests between ticks. A tick only runs the
-//! channels that are due, so the gap check there mostly proves the
-//! returned wake is the earliest; what proves a *skipped* pass exact is
-//! `Controller::tick`'s debug check, which re-runs every pass the
-//! controller skipped and asserts it issued nothing and computed the same
-//! wake. The arrivals are classified as they land and the test requires
-//! every case of the controller's arrival triage (`ctrl::scheduler`
-//! module docs) to occur, on eight FGDRAM grains sharing one command
-//! channel (so both command buses hold wakes back) and on eight QB-HBM
-//! channels.
-
-use std::collections::HashMap;
+//! Arrivals between ticks, and the passes they let `Controller::tick`
+//! skip, are checked by the bounded explorer `scheduler::wake_explorer`
+//! in `fgdram-ctrl`. The GUPS tests count the scheduler's work.
 
 use fgdram::core::SystemBuilder;
 use fgdram::ctrl::Controller;
 use fgdram::dram::DramDevice;
-use fgdram::model::addr::{Location, MemRequest, PhysAddr, ReqId};
-use fgdram::model::cmd::Completion;
+use fgdram::model::addr::{MemRequest, PhysAddr, ReqId};
 use fgdram::model::config::{CtrlConfig, DramConfig, DramKind};
 use fgdram::model::units::Ns;
 use fgdram::workloads::suites;
@@ -138,227 +128,6 @@ fn promised_wakes_are_exact_under_refresh_pressure() {
     // Long horizon on an idle-ish controller: refresh quiesce fences and
     // timeout closes dominate the promises.
     drive(DramKind::QbHbm, 5, 24, 20_000);
-}
-
-/// What an arrival can change in the next pass, judged from the queues
-/// the test mirrors and the device's open rows as it lands. Each doc says
-/// which triage rule, made one step more aggressive, the case exposes
-/// (through `tick`'s debug re-run of the skipped pass; each was seen to
-/// fail this test with the rule so changed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Arrival {
-    /// Lands at queue position `>= reorder_window`: no probe sees it, so
-    /// it marks nothing and its channel is re-armed. Exposes the re-arm
-    /// wake itself, e.g. a row wake not held behind the row bus.
-    BeyondWindowWrite,
-    /// In the window, no row hit, behind an older hit on the open row:
-    /// what the one-open-row rule lets the controller ignore. Making that
-    /// rule drop the open-row condition is only visible with several rows
-    /// open in one bank, which `scheduler`'s unit tests pin instead.
-    NonHitBehindHit,
-    /// A row hit into a window that held none: it becomes the candidate.
-    /// Exposes a window bound one short, an unscanned window taken as
-    /// hit-free, and a hit the scan found taken as an older one.
-    HitIntoNoHitWindow,
-    /// First request of its (bank, direction) queue. Exposes a queue
-    /// front that does not force the pass.
-    NewQueueFront,
-    /// Raises the channel's writes to the high watermark while it is not
-    /// draining. Exposes a drain flip that does not force the pass.
-    DrainFlip,
-    /// Anything else.
-    Other,
-}
-
-/// Small queues, so every case is frequent: a 4-entry window, 12/4
-/// watermarks on a 24-write buffer.
-const OPEN_CFG: CtrlConfig = CtrlConfig {
-    read_queue_depth: 16,
-    write_buffer_depth: 24,
-    write_high_watermark: 12,
-    write_low_watermark: 4,
-    reorder_window: 4,
-    idle_row_timeout: 200,
-    xbar_queue_depth: 8,
-    page_policy: fgdram::model::config::PagePolicy::Open,
-    refresh_enabled: true,
-};
-
-/// `(channel, bank, is_write)`: one scheduler queue.
-type QueueKey = (u32, u32, bool);
-
-/// The controller's queues as the test sees them: per queue the
-/// outstanding `(id, row, slice)` in arrival order (completions leave at
-/// issue, so this is the queue), and a mirror of the drain hysteresis.
-struct Mirror {
-    queues: HashMap<QueueKey, Vec<(u64, u32, u32)>>,
-    home: HashMap<u64, QueueKey>,
-    writes: HashMap<u32, usize>,
-    reads: HashMap<u32, usize>,
-    draining: HashMap<u32, bool>,
-}
-
-impl Mirror {
-    fn classify(&self, dev: &DramDevice, loc: &Location, slice: u32, is_write: bool) -> Arrival {
-        let q = self.queues.get(&(loc.channel, loc.bank, is_write)).map_or(&[][..], |v| v);
-        let writes_after = self.writes.get(&loc.channel).copied().unwrap_or(0) + 1;
-        let draining = self.draining.get(&loc.channel).copied().unwrap_or(false);
-        let window = OPEN_CFG.reorder_window;
-        let hit = |row: u32, slice: u32| {
-            dev.state().open_at(loc.channel, loc.bank, row, slice).is_some_and(|o| o.row == row)
-        };
-        if q.is_empty() {
-            Arrival::NewQueueFront
-        } else if is_write && !draining && writes_after >= OPEN_CFG.write_high_watermark {
-            Arrival::DrainFlip
-        } else if q.len() >= window {
-            if is_write {
-                Arrival::BeyondWindowWrite
-            } else {
-                Arrival::Other
-            }
-        } else {
-            let older_hit = q.iter().any(|&(_, row, slice)| hit(row, slice));
-            match (hit(loc.row, slice), older_hit) {
-                (false, true) => Arrival::NonHitBehindHit,
-                (true, false) => Arrival::HitIntoNoHitWindow,
-                _ => Arrival::Other,
-            }
-        }
-    }
-
-    fn arrive(&mut self, id: u64, loc: &Location, slice: u32, is_write: bool) {
-        let key = (loc.channel, loc.bank, is_write);
-        self.queues.entry(key).or_default().push((id, loc.row, slice));
-        self.home.insert(id, key);
-        let count = if is_write { &mut self.writes } else { &mut self.reads };
-        let n = count.entry(loc.channel).or_insert(0);
-        *n += 1;
-        if is_write && *n >= OPEN_CFG.write_high_watermark {
-            self.draining.insert(loc.channel, true);
-        }
-    }
-
-    fn complete(&mut self, done: &[Completion]) {
-        for c in done {
-            let key = self.home.remove(&c.req.0).expect("completion of a queued request");
-            self.queues.get_mut(&key).expect("queued").retain(|&(id, _, _)| id != c.req.0);
-            let count = if key.2 { &mut self.writes } else { &mut self.reads };
-            let n = count.get_mut(&key.0).expect("counted");
-            *n -= 1;
-            if key.2 && *n <= OPEN_CFG.write_low_watermark {
-                self.draining.insert(key.0, false);
-            }
-        }
-    }
-
-    /// Whether the channel's direct queue has room (the test never fills
-    /// the crossbar overflow, so queue positions stay exact).
-    fn has_room(&self, ch: u32, is_write: bool) -> bool {
-        if is_write {
-            self.writes.get(&ch).copied().unwrap_or(0) < OPEN_CFG.write_buffer_depth
-        } else {
-            self.reads.get(&ch).copied().unwrap_or(0) < OPEN_CFG.read_queue_depth
-        }
-    }
-}
-
-/// Open system on channels 0-7: bursts of arrivals at random gaps, the
-/// gap check between them. Returns how often each arrival case occurred.
-fn open_arrivals(kind: DramKind, seed: u64, horizon: Ns) -> HashMap<Arrival, usize> {
-    let cfg = DramConfig::new(kind);
-    let mut dev = DramDevice::new(cfg.clone());
-    let mut ctrl = Controller::new(&cfg, OPEN_CFG).expect("valid config");
-    let mapper = ctrl.mapper().clone();
-    let mut mirror = Mirror {
-        queues: HashMap::new(),
-        home: HashMap::new(),
-        writes: HashMap::new(),
-        reads: HashMap::new(),
-        draining: HashMap::new(),
-    };
-    let mut seen = HashMap::new();
-    let banks = cfg.banks_per_channel.min(4) as u64;
-    // Two slices where a row has them (SALP+SC), so a bank can hold
-    // several open rows.
-    let cols = cfg.atoms_per_row().min(16);
-    let mut s = seed;
-    let mut next_id = 0u64;
-    let mut out = Vec::new();
-    let mut now: Ns = 0;
-    let mut next_arrival: Ns = 0;
-    while now < horizon {
-        if now == next_arrival {
-            for _ in 0..1 + mix(&mut s) % 8 {
-                let r = mix(&mut s);
-                // Few rows per bank, so hits, conflicts and (on FGDRAM)
-                // pseudobank subarray conflicts all recur.
-                let loc = Location {
-                    channel: (r % 8) as u32,
-                    bank: ((r >> 8) % banks) as u32,
-                    row: ((r >> 16) % 3) as u32,
-                    col: ((r >> 24) % cols) as u32,
-                };
-                let slice = loc.col / cfg.atoms_per_activation() as u32;
-                let is_write = (r >> 32) % 5 < 2;
-                if !mirror.has_room(loc.channel, is_write) {
-                    continue;
-                }
-                *seen.entry(mirror.classify(&dev, &loc, slice, is_write)).or_insert(0) += 1;
-                next_id += 1;
-                let req = MemRequest { id: ReqId(next_id), addr: mapper.encode(loc), is_write };
-                assert!(ctrl.try_enqueue(req, now), "room was checked");
-                mirror.arrive(next_id, &loc, slice, is_write);
-            }
-            next_arrival = now + 1 + mix(&mut s) % 16;
-        }
-        out.clear();
-        let promised = ctrl.tick(&mut dev, now, &mut out).expect("legal schedule");
-        mirror.complete(&out);
-        assert!(promised > now, "seed {seed} {kind:?}: promised wake {promised} <= now {now}");
-        // The gap check, up to the next arrival.
-        let frozen = issued_commands(&ctrl, &dev);
-        let gap_end = promised.min(next_arrival).min(horizon);
-        for m in now + 1..gap_end {
-            ctrl.tick(&mut dev, m, &mut out).expect("legal schedule");
-            assert_eq!(
-                issued_commands(&ctrl, &dev),
-                frozen,
-                "seed {seed} {kind:?}: command issued at {m}, before the promised wake \
-                 {promised} made at {now}"
-            );
-        }
-        now = gap_end;
-    }
-    seen
-}
-
-#[test]
-fn arrivals_between_ticks_keep_promised_wakes_exact() {
-    // SALP+SC keeps several rows open per bank, which the triage's
-    // one-open-row condition is about.
-    let kinds = [
-        (DramKind::Fgdram, [4u64, 31]),
-        (DramKind::QbHbm, [8, 19]),
-        (DramKind::QbHbmSalpSc, [5, 12]),
-    ];
-    for (kind, seeds) in kinds {
-        let mut seen: HashMap<Arrival, usize> = HashMap::new();
-        for seed in seeds {
-            for (case, n) in open_arrivals(kind, seed, 12_000) {
-                *seen.entry(case).or_insert(0) += n;
-            }
-        }
-        for case in [
-            Arrival::BeyondWindowWrite,
-            Arrival::NonHitBehindHit,
-            Arrival::HitIntoNoHitWindow,
-            Arrival::NewQueueFront,
-            Arrival::DrainFlip,
-        ] {
-            assert!(seen.get(&case).copied().unwrap_or(0) >= 5, "{kind:?}: {case:?} in {seen:?}");
-        }
-    }
 }
 
 /// ROADMAP 4(a): on GUPS/FGDRAM, before passes were skipped, 37 % of

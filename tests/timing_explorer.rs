@@ -19,7 +19,8 @@
 //!   rows of subarray 0, one of subarray 1); slices {0, 1} capped by the
 //!   configuration. Per target: ACT, RD and WR with and without
 //!   auto-precharge, PRE of the row; per bank PRE-all; per channel REF;
-//!   and one ACT to a bank that does not exist.
+//!   an ACT to a bank that does not exist, and an ACT and a PRE each to a
+//!   row and to a slice that do not exist.
 //!
 //! ## Properties, for every alphabet command at every node
 //!
@@ -49,10 +50,9 @@
 //!   keep P1 and P2 beyond the bound.
 //! - Both models read the same `TimingParams`: a wrong Table 2 value is
 //!   invisible here and is pinned by the unit tests that assert cycles.
-//! - Out-of-range rows and slices are not in the alphabet; only an
-//!   out-of-range bank is.
 //! - The controller is not modelled: the scheduler's wake contract is
-//!   `tests/scheduler_wake.rs`'s.
+//!   checked by the bounded explorer in `fgdram-ctrl`
+//!   (`scheduler::wake_explorer`).
 
 use fgdram::dram::{DramDevice, ProtocolChecker, Rule, TryIssue};
 use fgdram::model::addr::ReqId;
@@ -119,6 +119,12 @@ fn alphabet(cfg: &DramConfig) -> Vec<DramCommand> {
     }
     let missing = BankRef { channel: 0, bank: cfg.banks_per_channel as u32 };
     cmds.push(DramCommand::Activate { bank: missing, row: 0, slice: 0 });
+    let bank = BankRef { channel: 0, bank: 0 };
+    let (past_row, past_slice) = (cfg.rows_per_bank as u32, cfg.slices_per_row() as u32);
+    for (row, slice) in [(past_row, 0), (0, past_slice)] {
+        cmds.push(DramCommand::Activate { bank, row, slice });
+        cmds.push(DramCommand::Precharge { bank, row: Some(row), slice });
+    }
     cmds
 }
 
