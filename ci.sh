@@ -60,6 +60,14 @@ code=$?
 set -e
 [ "$code" -eq 5 ] || { echo "expected watchdog-stall exit 5, got $code"; exit 1; }
 
+echo "== smoke: telemetry over MAX_EPOCHS is a usage error, not an abort =="
+set +e
+timeout 60 target/release/fgdram_sim run STREAM --telemetry "$sdir/t.jsonl" \
+    --epoch 1 --window 1000000000 >/dev/null 2>&1
+code=$?
+set -e
+[ "$code" -eq 2 ] || { echo "expected over-limit telemetry exit 2, got $code"; exit 1; }
+
 echo "== lint: clippy (workspace, including fgdram-faults) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

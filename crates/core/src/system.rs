@@ -126,8 +126,9 @@ impl SystemBuilder {
     }
 
     /// Enables epoch-sampled telemetry over the measurement window of
-    /// [`Self::run_instrumented`] (size the capacity with
-    /// [`TelemetryConfig::for_window`] to retain every epoch).
+    /// [`Self::run_instrumented`] ([`TelemetryConfig::for_window`] sizes
+    /// the preallocation; bound the window with
+    /// [`fgdram_telemetry::check_epochs`] first).
     pub fn telemetry(mut self, cfg: TelemetryConfig) -> Self {
         self.telemetry = Some(cfg);
         self

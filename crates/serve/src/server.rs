@@ -774,31 +774,15 @@ fn handle_conn_io<R: Read, W: Write>(shared: &Shared, r: R, w: &mut W, plan: Wir
 
 fn tenant_of(req: &Request) -> Result<String, ServeError> {
     let t = req.header("x-tenant").unwrap_or("anon");
-    let ok = !t.is_empty()
-        && t.len() <= 64
-        && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_');
-    if ok {
-        Ok(t.to_string())
-    } else {
-        Err(ServeError::BadRequest(format!("invalid tenant name '{t}'")))
-    }
+    spec::check_tenant(t)?;
+    Ok(t.to_string())
 }
 
 /// Validates the optional `X-Job-Key` idempotency header.
 fn job_key_of(req: &Request) -> Result<Option<String>, ServeError> {
-    match req.header("x-job-key") {
-        None => Ok(None),
-        Some(k) => {
-            let ok = !k.is_empty()
-                && k.len() <= 128
-                && k.chars().all(|c| c.is_ascii_graphic() || c == ' ');
-            if ok {
-                Ok(Some(k.to_string()))
-            } else {
-                Err(ServeError::BadRequest(format!("invalid job key '{k}'")))
-            }
-        }
-    }
+    let Some(k) = req.header("x-job-key") else { return Ok(None) };
+    spec::check_job_key(k)?;
+    Ok(Some(k.to_string()))
 }
 
 fn route<W: Write>(shared: &Shared, req: &Request, w: &mut W) -> io::Result<()> {

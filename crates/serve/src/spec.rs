@@ -15,9 +15,14 @@
 //! ```
 //!
 //! Unknown keys are rejected (a typo must not silently simulate something
-//! else than asked — the same stance as the CLI's ignored-flag warnings).
+//! else than asked — the same stance as the CLI's ignored-flag warnings),
+//! and so is telemetry that would keep more than
+//! [`fgdram_telemetry::MAX_EPOCHS`] epochs. The rules for the two headers
+//! a submit carries beside the spec, tenant and idempotency key, live
+//! here too: the spool loader applies all three to what it restores.
 
 use fgdram_core::suite::{SuiteKind, SuiteSpec};
+use fgdram_telemetry::check_epochs;
 
 use crate::error::ServeError;
 
@@ -83,13 +88,41 @@ pub fn parse(body: &str) -> Result<SuiteSpec, ServeError> {
     if window == 0 {
         return Err(bad("spec window must be >= 1 ns".to_string()));
     }
-    Ok(SuiteSpec {
+    let spec = SuiteSpec {
         which,
         warmup,
         window,
         max_workloads,
         telemetry_epoch: telemetry.then_some(epoch),
-    })
+    };
+    if telemetry {
+        check_epochs(spec.cell_count(), epoch, window).map_err(|e| bad(format!("spec {e}")))?;
+    }
+    Ok(spec)
+}
+
+/// The tenant name rule (`X-Tenant`): 1–64 ASCII alphanumerics, `-` or
+/// `_`, so a tenant always renders into JSON and log lines unescaped.
+///
+/// # Errors
+///
+/// [`ServeError::BadRequest`] naming the tenant.
+pub(crate) fn check_tenant(t: &str) -> Result<(), ServeError> {
+    let ok = !t.is_empty()
+        && t.len() <= 64
+        && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_');
+    ok.then_some(()).ok_or_else(|| ServeError::BadRequest(format!("invalid tenant name '{t}'")))
+}
+
+/// The idempotency key rule (`X-Job-Key`): 1–128 printable ASCII
+/// characters or spaces.
+///
+/// # Errors
+///
+/// [`ServeError::BadRequest`] naming the key.
+pub(crate) fn check_job_key(k: &str) -> Result<(), ServeError> {
+    let ok = !k.is_empty() && k.len() <= 128 && k.chars().all(|c| c.is_ascii_graphic() || c == ' ');
+    ok.then_some(()).ok_or_else(|| ServeError::BadRequest(format!("invalid job key '{k}'")))
 }
 
 /// Renders a spec back to the canonical wire form (used for spooling; a
@@ -135,7 +168,7 @@ mod tests {
     #[test]
     fn rejects_junk_with_typed_errors() {
         for body in [
-            "warmup=5",                       // no suite
+            "warmup=5",                                                               // no suite
             "suite=vector",                   // unknown suite
             "suite=compute\nflavour=mint",    // unknown key
             "suite=compute\nwarmup=abc",      // bad number
@@ -143,9 +176,22 @@ mod tests {
             "suite=compute\nepoch=0",         // zero epoch
             "suite=compute\nwindow=0",        // zero window
             "suite=compute\nnonsense",        // not key=value
+            "suite=compute\nmax_workloads=1\nwindow=999999999\ntelemetry=1\nepoch=1", // epochs
         ] {
             let err = parse(body).expect_err(body);
             assert_eq!(err.code(), "bad-request", "{body}");
         }
+    }
+
+    #[test]
+    fn telemetry_epochs_are_bounded() {
+        let body =
+            |w: u64| format!("suite=compute\nmax_workloads=1\nwindow={w}\ntelemetry=1\nepoch=1");
+        // Two cells, so half the limit per cell is the last window admitted.
+        let at = fgdram_telemetry::MAX_EPOCHS / 2;
+        assert!(parse(&body(at)).is_ok());
+        assert_eq!(parse(&body(at + 1)).unwrap_err().code(), "bad-request");
+        assert!(parse("suite=graphics\ntelemetry=1\n").is_ok(), "full suite at the defaults");
+        assert!(parse("suite=compute\nwindow=999999999\nepoch=1\n").is_ok(), "no telemetry");
     }
 }

@@ -216,11 +216,19 @@ impl Spool {
         for p in paths {
             // Lossy decode: corruption can leave invalid UTF-8 inside one
             // record, and that must cost that record (its CRC fails on
-            // the replacement bytes), not the whole file.
+            // the replacement bytes), not the whole file. The header id
+            // must name this file: a resumed job appends to that name.
+            let stem = p.file_stem().and_then(|s| s.to_str());
             match fs::read(&p)
                 .map_err(|e| e.to_string())
                 .and_then(|b| parse_ckpt(&String::from_utf8_lossy(&b)))
-            {
+                .and_then(|job| {
+                    if stem == Some(job.id.as_str()) {
+                        Ok(job)
+                    } else {
+                        Err(format!("header id '{}' does not name this file", job.id))
+                    }
+                }) {
                 Ok(job) => {
                     if job.skipped_records > 0 || job.duplicate_records > 0 {
                         eprintln!(
@@ -423,11 +431,16 @@ fn parse_ckpt(s: &str) -> Result<LoadedJob, String> {
         Ok(v)
     };
     let id = take("id ")?;
+    // Header lines carry no CRC: hold what they restore to the submit
+    // rules, so damage cannot bring back a name the daemon never admits.
     let tenant = unesc(&take("tenant ")?);
+    spec::check_tenant(&tenant).map_err(|e| e.to_string())?;
     let key = match lines.get(i).and_then(|l| l.strip_prefix("key ")) {
         Some(v) => {
             i += 1;
-            Some(unesc(v.trim()))
+            let k = unesc(v.trim());
+            spec::check_job_key(&k).map_err(|e| e.to_string())?;
+            Some(k)
         }
         None => None,
     };
@@ -518,22 +531,23 @@ fn esc(s: &str) -> String {
     out
 }
 
+/// Reverses [`esc`] on bytes: `%` and two hex digits is that byte; any
+/// other byte, a damaged escape included, stands for itself.
 fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
     let b = s.as_bytes();
+    let hex = |i: usize| b.get(i).and_then(|&c| (c as char).to_digit(16));
+    let mut out = Vec::with_capacity(b.len());
     let mut i = 0;
     while i < b.len() {
-        if b[i] == b'%' && i + 2 < b.len() {
-            if let Ok(v) = u8::from_str_radix(&s[i + 1..i + 3], 16) {
-                out.push(v as char);
-                i += 3;
-                continue;
-            }
+        if let (b'%', Some(hi), Some(lo)) = (b[i], hex(i + 1), hex(i + 2)) {
+            out.push((hi * 16 + lo) as u8);
+            i += 3;
+        } else {
+            out.push(b[i]);
+            i += 1;
         }
-        out.push(b[i] as char);
-        i += 1;
     }
-    out
+    String::from_utf8_lossy(&out).into_owned()
 }
 
 fn kind_from_label(label: &str) -> Option<DramKind> {
@@ -712,7 +726,7 @@ mod tests {
     fn ckpt_survives_truncation_and_resumes_partial() {
         let (dir, spool) = tmp_spool("trunc");
         let spec = test_spec();
-        let mut w = spool.create("j7", "ten ant", None, &spec).expect("create");
+        let mut w = spool.create("j7", "ten-ant", None, &spec).expect("create");
         let a0 =
             Artifact { report: sample_report(0), jsonl: Some("{\"x\":1}\n{\"x\":2}\n".into()) };
         let a2 = Artifact { report: sample_report(1), jsonl: None };
@@ -727,7 +741,7 @@ mod tests {
         let jobs = spool.load_all();
         assert_eq!(jobs.len(), 1);
         let j = &jobs[0];
-        assert_eq!((j.id.as_str(), j.tenant.as_str()), ("j7", "ten ant"));
+        assert_eq!((j.id.as_str(), j.tenant.as_str()), ("j7", "ten-ant"));
         assert_eq!(j.key, None);
         assert_eq!(j.spec, spec);
         assert_eq!(j.state, JobState::Queued);
@@ -780,14 +794,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn v2_fixture_loads_and_is_rewritten_byte_for_byte() {
-        // The on-disk grammar is frozen: spools written by any v2 daemon
-        // must keep loading, so this literal (CRC included) is pinned in
-        // both directions.
-        const V2: &str = "fgdram-serve-ckpt-v2\n\
+    // The on-disk grammar is frozen: spools written by any v2 daemon
+    // must keep loading, so this literal (CRC included) is pinned in
+    // both directions.
+    const V2: &str = "fgdram-serve-ckpt-v2\n\
             id j9\n\
-            tenant ten%20ant\n\
+            tenant ten-ant\n\
             key k%201\n\
             spec suite=compute;warmup=100;window=400;max_workloads=2\n\
             \n\
@@ -804,10 +816,13 @@ mod tests {
             end 1 b3f44297\n\
             \n\
             failed stall 5 some%20message\n";
+
+    #[test]
+    fn v2_fixture_loads_and_is_rewritten_byte_for_byte() {
         let j = parse_ckpt(V2).expect("a v2 file parses");
         assert_eq!(
             (j.id.as_str(), j.tenant.as_str(), j.key.as_deref()),
-            ("j9", "ten ant", Some("k 1"))
+            ("j9", "ten-ant", Some("k 1"))
         );
         assert_eq!(j.spec, test_spec());
         assert_eq!((j.skipped_records, j.duplicate_records), (0, 0), "the CRC still matches");
@@ -819,11 +834,64 @@ mod tests {
         assert_eq!(j.state, JobState::Failed(stall.clone()));
         // The writer half: the same job spooled again is the same bytes.
         let (dir, spool) = tmp_spool("v2fixture");
-        let mut w = spool.create("j9", "ten ant", Some("k 1"), &test_spec()).unwrap();
+        let mut w = spool.create("j9", "ten-ant", Some("k 1"), &test_spec()).unwrap();
         w.append_cell(1, cell).unwrap();
         w.mark_failed(&stall).unwrap();
         drop(w);
         assert_eq!(std::fs::read_to_string(dir.join("j9.ckpt")).unwrap(), V2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_header_bytes_never_panic_nor_restore_what_submit_refuses() {
+        // Header lines carry no CRC. Put a non-UTF-8 byte, then a JSON
+        // quote, at every offset of the fixture: the load must not panic,
+        // and whatever it restores must be what a submit could have made.
+        let (dir, spool) = tmp_spool("damage");
+        let path = dir.join("j9.ckpt");
+        for at in 0..V2.len() {
+            for byte in [0xFF, b'"'] {
+                let mut damaged = V2.as_bytes().to_vec();
+                damaged[at] = byte;
+                std::fs::write(&path, &damaged).unwrap();
+                for j in spool.load_all() {
+                    assert_eq!(j.id, "j9", "byte {at}");
+                    assert!(spec::check_tenant(&j.tenant).is_ok(), "byte {at}: {:?}", j.tenant);
+                    if let Some(k) = &j.key {
+                        assert!(spec::check_job_key(k).is_ok(), "byte {at}: key {k:?}");
+                    }
+                    assert_eq!(j.spec, test_spec(), "byte {at}");
+                    for (i, cell) in j.cells.iter().enumerate() {
+                        if let Some(a) = cell {
+                            assert_eq!(
+                                format!("{:?}", a.report),
+                                format!("{:?}", sample_report(i as u64)),
+                                "byte {at}: restored cell {i} must be bit-exact"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unesc_decodes_bytes_and_keeps_damaged_escapes() {
+        assert_eq!(unesc(&esc("café 100%\n")), "café 100%\n");
+        assert_eq!(unesc("caf%c3%a9"), "café");
+        assert_eq!(unesc("%zz%4%+1%\u{fffd}0"), "%zz%4%+1%\u{fffd}0");
+    }
+
+    #[test]
+    fn over_limit_telemetry_spool_is_skipped() {
+        // A job admitted before the epoch bound existed: loading it again
+        // must cost the job, not abort the daemon on every restart.
+        let (dir, spool) = tmp_spool("overlimit");
+        let spec = "suite=compute;warmup=0;window=999999999;max_workloads=1;telemetry=1;epoch=1";
+        let body = format!("{MAGIC}\nid j1\ntenant a\nspec {spec}\n");
+        std::fs::write(dir.join("j1.ckpt"), body).unwrap();
+        assert!(spool.load_all().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -41,7 +41,7 @@ fn push_field_value(out: &mut String, v: &FieldValue) {
 /// Renders one epoch as a single JSON object line (no trailing newline).
 /// `meta` key/value pairs (workload name, architecture label, ...) lead
 /// the object so every line is self-describing.
-pub fn record_to_json(meta: &[(&str, &str)], r: &EpochRecord) -> String {
+fn record_to_json(meta: &[(&str, &str)], r: &EpochRecord) -> String {
     let mut out = String::with_capacity(256);
     out.push('{');
     for (k, v) in meta {
@@ -103,27 +103,24 @@ fn push_csv_field(out: &mut String, s: &str) {
     }
 }
 
-/// Writes the series as CSV. The header comes from the first record:
-/// meta keys, then `epoch,start_ns,end_ns`, then one
+/// Writes the series as CSV, led by a header line when `header` is set;
+/// clear it to append more same-schema series (e.g. one per
+/// architecture) under one leading header. The header comes from the
+/// first record: meta keys, then `epoch,start_ns,end_ns`, then one
 /// `component.field` column per scalar; histogram fields flatten to
 /// `.count`/`.p50`/`.p95` columns and counter arrays to a `.sum` column
-/// (full arrays stay JSONL-only).
-pub fn write_csv<W: Write>(w: &mut W, meta: &[(&str, &str)], t: &Telemetry) -> io::Result<()> {
-    write_csv_with_header(w, meta, t, true)
-}
-
-/// Like [`write_csv`], but lets the caller suppress the header line —
-/// for appending several same-schema series (e.g. one per architecture)
-/// to a single file with one leading header.
-pub fn write_csv_with_header<W: Write>(
+/// (full arrays stay JSONL-only). An empty series writes nothing, not
+/// even the header, so a caller appending series asks for the header
+/// until it has written an epoch.
+pub fn write_csv<W: Write>(
     w: &mut W,
     meta: &[(&str, &str)],
     t: &Telemetry,
-    header_line: bool,
+    header: bool,
 ) -> io::Result<()> {
     let Some(first) = t.records.first() else { return Ok(()) };
-    if header_line {
-        let mut header = String::new();
+    if header {
+        let mut line = String::new();
         let mut cols: Vec<String> = Vec::new();
         for (k, _) in meta {
             cols.push((*k).to_string());
@@ -147,11 +144,11 @@ pub fn write_csv_with_header<W: Write>(
         }
         for (i, c) in cols.iter().enumerate() {
             if i > 0 {
-                header.push(',');
+                line.push(',');
             }
-            push_csv_field(&mut header, c);
+            push_csv_field(&mut line, c);
         }
-        writeln!(w, "{header}")?;
+        writeln!(w, "{line}")?;
     }
 
     for r in &t.records {
@@ -203,7 +200,7 @@ mod tests {
                 ],
             }],
         };
-        Telemetry { epoch_ns: 1000, records: vec![rec], dropped_epochs: 0 }
+        Telemetry { epoch_ns: 1000, records: vec![rec] }
     }
 
     #[test]
@@ -234,7 +231,7 @@ mod tests {
     fn csv_flattens_hists_and_arrays() {
         let t = sample_series();
         let mut buf = Vec::new();
-        write_csv(&mut buf, &[("arch", "QB")], &t).unwrap();
+        write_csv(&mut buf, &[("arch", "QB")], &t, true).unwrap();
         let s = String::from_utf8(buf).unwrap();
         let mut lines = s.lines();
         assert_eq!(
@@ -248,11 +245,28 @@ mod tests {
 
     #[test]
     fn empty_series_exports_empty() {
-        let t = Telemetry { epoch_ns: 10, records: vec![], dropped_epochs: 0 };
+        let t = Telemetry { epoch_ns: 10, records: vec![] };
         assert_eq!(to_jsonl_string(&[], &t), "");
         let mut buf = Vec::new();
-        write_csv(&mut buf, &[], &t).unwrap();
+        write_csv(&mut buf, &[], &t, true).unwrap();
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn empty_leading_series_leaves_the_csv_header_due() {
+        // Append series the way a multi-series file does: the header is
+        // due until the first epoch has been written.
+        let empty = Telemetry { epoch_ns: 1000, records: vec![] };
+        let mut buf = Vec::new();
+        let mut epochs = 0;
+        for (arch, t) in [("QB", &empty), ("QB", &sample_series()), ("FG", &sample_series())] {
+            write_csv(&mut buf, &[("arch", arch)], t, epochs == 0).unwrap();
+            epochs += t.records.len();
+        }
+        let s = String::from_utf8(buf).unwrap();
+        assert_eq!(s.lines().filter(|l| l.starts_with("arch,epoch")).count(), 1, "{s}");
+        assert_eq!(s.lines().count(), 3);
+        assert!(s.lines().nth(2).unwrap().starts_with("FG,0,"));
     }
 
     #[test]

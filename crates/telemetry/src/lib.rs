@@ -5,10 +5,11 @@
 //! End-of-run aggregates (`SimReport`, `CtrlStats`) average away exactly
 //! the dynamics the paper argues about: activate-rate saturation against
 //! tFAW, bank-level-parallelism ramp-up, row-locality phases. This crate
-//! snapshots component counters every N *simulated* nanoseconds into
-//! ring-buffered time series and exports them as JSONL or CSV with
-//! hand-rolled, dependency-free writers (the offline no-registry build
-//! stays intact).
+//! snapshots component counters every N *simulated* nanoseconds into a
+//! plain time series and exports it as JSONL or CSV with hand-rolled,
+//! dependency-free writers (the offline no-registry build stays intact).
+//! A series holds every epoch of its window; [`check_epochs`] bounds how
+//! many that may be where the window and epoch enter.
 //!
 //! ## The delta-snapshot pattern
 //!
@@ -63,11 +64,7 @@ pub mod export;
 pub mod record;
 pub mod recorder;
 pub mod sample;
-pub mod series;
-pub mod sink;
 
 pub use record::{ComponentRecord, EpochRecord, FieldValue, HistSummary};
-pub use recorder::{Recorder, Telemetry, TelemetryConfig};
+pub use recorder::{check_epochs, Recorder, Telemetry, TelemetryConfig, MAX_EPOCHS};
 pub use sample::{RawValue, SampleBuf, Sampled};
-pub use series::RingBuffer;
-pub use sink::{CsvSink, JsonlSink, SeriesSink};

@@ -2,16 +2,44 @@
 
 use crate::record::{ComponentRecord, EpochRecord};
 use crate::sample::{SampleBuf, Sampled};
-use crate::series::RingBuffer;
 use fgdram_model::units::Ns;
+
+/// Most epoch records a run may keep in memory at once, summed over the
+/// series it holds: a suite keeps cells × ⌈window / epoch⌉, a single run
+/// one series. An FGDRAM record holds the 2 048-counter activate heatmap
+/// (16 KiB) plus 54 other fields, about 19 KiB resident, and exports to
+/// 5.3–5.9 KB of JSONL; a QB-HBM record holds 384 counters, about 6 KiB,
+/// and exports to 2.0–2.3 KB. So the bound caps one run's records at
+/// about 1 GB (all FGDRAM; a suite is half QB-HBM) and its JSONL at
+/// 300 MB, and still admits the full graphics suite at the CLI defaults
+/// (160 cells × 100 epochs).
+pub const MAX_EPOCHS: u64 = 50_000;
+
+/// Checks that `series` telemetry series of a `window`-ns measurement at
+/// `epoch_ns` per epoch keep at most [`MAX_EPOCHS`] records in total.
+/// Every front end calls this where window and epoch enter.
+///
+/// # Errors
+///
+/// A message naming the epoch count and the limit.
+pub fn check_epochs(series: usize, epoch_ns: Ns, window: Ns) -> Result<(), String> {
+    let epochs = (series as u64).saturating_mul(window.div_ceil(epoch_ns.max(1)));
+    if epochs <= MAX_EPOCHS {
+        return Ok(());
+    }
+    Err(format!(
+        "telemetry would keep {epochs} epochs ({series} series of {window} ns at {epoch_ns} ns \
+         per epoch), over the limit of {MAX_EPOCHS}; raise the epoch or shorten the window"
+    ))
+}
 
 /// Recorder configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Epoch length in simulated nanoseconds (clamped to >= 1).
     pub epoch_ns: Ns,
-    /// Ring-buffer capacity in epochs; oldest epochs are evicted (and
-    /// counted) beyond this.
+    /// Records to preallocate (at most `MAX_EPOCHS + 2` are); the series
+    /// keeps every epoch either way.
     pub capacity: usize,
 }
 
@@ -22,8 +50,8 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Capacity sized so a `window`-long run with this `epoch_ns` never
-    /// drops an epoch (full epochs + a trailing partial + slack).
+    /// Capacity sized to hold a `window`-long run with this `epoch_ns`
+    /// without reallocating (full epochs + a trailing partial + slack).
     pub fn for_window(epoch_ns: Ns, window: Ns) -> Self {
         let epoch_ns = epoch_ns.max(1);
         let capacity = (window / epoch_ns) as usize + 2;
@@ -36,11 +64,8 @@ impl TelemetryConfig {
 pub struct Telemetry {
     /// Configured epoch length in simulated ns.
     pub epoch_ns: Ns,
-    /// Retained epoch records, oldest first.
+    /// Every epoch record of the window, oldest first.
     pub records: Vec<EpochRecord>,
-    /// Epochs evicted from the ring buffer (0 unless capacity was
-    /// exceeded).
-    pub dropped_epochs: u64,
 }
 
 /// Samples a set of [`Sampled`] components at epoch boundaries derived
@@ -53,41 +78,35 @@ pub struct Telemetry {
 /// Component order must be identical across all three calls.
 #[derive(Debug)]
 pub struct Recorder {
-    cfg: TelemetryConfig,
-    start_ns: Ns,
+    epoch_ns: Ns,
     epoch_start: Ns,
-    epoch_index: u64,
     prev: Vec<SampleBuf>,
-    ring: RingBuffer<EpochRecord>,
+    records: Vec<EpochRecord>,
     started: bool,
 }
 
 impl Recorder {
     /// New recorder; call [`Recorder::start`] before polling.
     pub fn new(cfg: TelemetryConfig) -> Self {
-        let cfg = TelemetryConfig { epoch_ns: cfg.epoch_ns.max(1), capacity: cfg.capacity };
         Recorder {
-            cfg,
-            start_ns: 0,
+            epoch_ns: cfg.epoch_ns.max(1),
             epoch_start: 0,
-            epoch_index: 0,
             prev: Vec::new(),
-            ring: RingBuffer::new(cfg.capacity),
+            records: Vec::with_capacity(cfg.capacity.min(MAX_EPOCHS as usize + 2)),
             started: false,
         }
     }
 
     /// Configured epoch length in simulated ns.
     pub fn epoch_ns(&self) -> Ns {
-        self.cfg.epoch_ns
+        self.epoch_ns
     }
 
-    /// Takes the baseline snapshot at simulated time `now`; epoch 0 spans
-    /// `[now, now + epoch_ns)`.
+    /// Takes the baseline snapshot at simulated time `now` and begins an
+    /// empty series; epoch 0 spans `[now, now + epoch_ns)`.
     pub fn start(&mut self, now: Ns, sources: &[&dyn Sampled]) {
-        self.start_ns = now;
         self.epoch_start = now;
-        self.epoch_index = 0;
+        self.records.clear();
         self.prev = sources
             .iter()
             .map(|s| {
@@ -106,8 +125,8 @@ impl Recorder {
     /// exact because no events occur between steps.
     pub fn poll(&mut self, now: Ns, sources: &[&dyn Sampled]) {
         debug_assert!(self.started, "poll before start");
-        while now >= self.epoch_start + self.cfg.epoch_ns {
-            let end = self.epoch_start + self.cfg.epoch_ns;
+        while now >= self.epoch_start + self.epoch_ns {
+            let end = self.epoch_start + self.epoch_ns;
             self.emit(end, sources);
         }
     }
@@ -122,11 +141,7 @@ impl Recorder {
         if now > self.epoch_start {
             self.emit(now, sources);
         }
-        Telemetry {
-            epoch_ns: self.cfg.epoch_ns,
-            dropped_epochs: self.ring.dropped(),
-            records: self.ring.into_vec(),
-        }
+        Telemetry { epoch_ns: self.epoch_ns, records: self.records }
     }
 
     fn emit(&mut self, end: Ns, sources: &[&dyn Sampled]) {
@@ -141,13 +156,12 @@ impl Recorder {
             components.push(ComponentRecord::from_delta(src.component(), &delta));
             *prev = cur;
         }
-        self.ring.push(EpochRecord {
-            index: self.epoch_index,
+        self.records.push(EpochRecord {
+            index: self.records.len() as u64,
             start_ns: self.epoch_start,
             end_ns: end,
             components,
         });
-        self.epoch_index += 1;
         self.epoch_start = end;
     }
 }
@@ -196,7 +210,6 @@ mod tests {
         f.ops.set(12);
         let t = rec.finish(150, &[&f]); // partial [100,150)
         assert_eq!(t.records.len(), 2);
-        assert_eq!(t.dropped_epochs, 0);
         assert_eq!((t.records[0].start_ns, t.records[0].end_ns), (0, 100));
         assert_eq!((t.records[1].start_ns, t.records[1].end_ns), (100, 150));
         assert_eq!(record_u64(&t, 0, "ops"), 10);
@@ -246,18 +259,6 @@ mod tests {
             crate::record::FieldValue::F64(v) => assert!((v - 0.5).abs() < 1e-12),
             other => panic!("unexpected kind {other:?}"),
         }
-    }
-
-    #[test]
-    fn ring_capacity_drops_oldest() {
-        let f = Fake { ops: Cell::new(0), depth: Cell::new(0.0) };
-        let mut rec = Recorder::new(TelemetryConfig { epoch_ns: 10, capacity: 2 });
-        rec.start(0, &[&f]);
-        let t = rec.finish(50, &[&f]); // 5 epochs into capacity 2
-        assert_eq!(t.records.len(), 2);
-        assert_eq!(t.dropped_epochs, 3);
-        assert_eq!(t.records[0].index, 3);
-        assert_eq!(t.records[1].index, 4);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!        --max-workloads <n>  cap the suite's workload list (CI scale)
 //!        --telemetry <path>   epoch-sampled time series (JSONL, or CSV
 //!                             when the path ends in `.csv`)
-//!        --epoch <ns>         telemetry epoch length (default 1000)
+//!        --epoch <ns>         telemetry epoch length (default 1000); at
+//!                             most 50 000 epochs may be kept at once
 //!        --faults <spec>      fault injection (`ce=0.01,due=0.001,...`,
 //!                             or the `storm` preset; see DESIGN.md)
 //!        --fault-seed <n>     fault PRNG seed (default 1)
@@ -23,6 +24,8 @@
 //!             5 stall/watchdog, 6 I/O, 7 fault storm
 //! ```
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use fgdram::core::experiments::{self, Scale};
@@ -32,7 +35,7 @@ use fgdram::dram::ProtocolChecker;
 use fgdram::energy::floorplan::IoTechnology;
 use fgdram::faults::{timing, FaultSpec};
 use fgdram::model::config::{CtrlConfig, DramConfig, DramKind, GpuConfig, PagePolicy};
-use fgdram::telemetry::{CsvSink, JsonlSink, SeriesSink, Telemetry, TelemetryConfig};
+use fgdram::telemetry::{check_epochs, export, Telemetry, TelemetryConfig};
 use fgdram::workloads::{suites, Workload};
 
 /// A CLI failure: either a usage error (exit 2, with the usage text) or a
@@ -155,7 +158,19 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             f.present.push(name);
         }
     }
+    // `run` and `compare` keep one series at a time; `suite` re-checks
+    // with its cell count.
+    check_telemetry(&f, 1)?;
     Ok(f)
+}
+
+/// Bounds the epochs `series` telemetry series keep at once (no-op
+/// without `--telemetry`).
+fn check_telemetry(f: &Flags, series: usize) -> Result<(), String> {
+    match f.telemetry {
+        Some(_) => check_epochs(series, f.epoch, f.window),
+        None => Ok(()),
+    }
 }
 
 /// Canonical spellings, for the ignored-flag warnings.
@@ -218,27 +233,25 @@ fn builder_for(mut workload: Workload, kind: DramKind, f: &Flags) -> SystemBuild
     b
 }
 
-/// One telemetry output file: a [`SeriesSink`] (JSONL or CSV by the
-/// path's extension — the sinks own the cross-series format state like
-/// the single CSV header) plus the CLI-side concerns: `SimError`
-/// wrapping, epoch counting, and the dropped-epoch warning.
+/// One telemetry output file, JSONL or CSV by the path's extension; a
+/// CSV file gets one header, written with its first epoch.
 struct TelemetrySink {
-    inner: Box<dyn SeriesSink>,
+    w: BufWriter<File>,
     path: String,
+    csv: bool,
     epochs: usize,
 }
 
 impl TelemetrySink {
     fn create(path: &str) -> Result<Self, SimError> {
-        let file = std::fs::File::create(path)
+        let file = File::create(path)
             .map_err(|e| SimError::Io { context: format!("--telemetry {path}"), source: e })?;
-        let out = std::io::BufWriter::new(file);
-        let inner: Box<dyn SeriesSink> = if path.ends_with(".csv") {
-            Box::new(CsvSink::new(out))
-        } else {
-            Box::new(JsonlSink::new(out))
-        };
-        Ok(TelemetrySink { inner, path: path.to_string(), epochs: 0 })
+        Ok(TelemetrySink {
+            w: BufWriter::new(file),
+            path: path.to_string(),
+            csv: path.ends_with(".csv"),
+            epochs: 0,
+        })
     }
 
     fn io_err(&self, e: std::io::Error) -> SimError {
@@ -246,26 +259,23 @@ impl TelemetrySink {
     }
 
     fn emit(&mut self, meta: &[(&str, &str)], t: &Telemetry) -> Result<(), SimError> {
-        self.inner.emit(meta, t).map_err(|e| self.io_err(e))?;
+        let written = if self.csv {
+            export::write_csv(&mut self.w, meta, t, self.epochs == 0)
+        } else {
+            export::write_jsonl(&mut self.w, meta, t)
+        };
+        written.map_err(|e| self.io_err(e))?;
         self.epochs += t.records.len();
-        if t.dropped_epochs > 0 {
-            eprintln!("warning: {} telemetry epochs dropped (ring capacity)", t.dropped_epochs);
-        }
         Ok(())
     }
 
     fn close(mut self) -> Result<(), SimError> {
-        self.inner.finish().map_err(|e| {
-            let e = std::io::Error::new(e.kind(), e.to_string());
-            self.io_err(e)
-        })?;
+        self.w.flush().map_err(|e| self.io_err(e))?;
         eprintln!("telemetry: {} epochs -> {}", self.epochs, self.path);
         Ok(())
     }
 }
 
-/// The telemetry configuration for one measurement window, sized so the
-/// ring keeps every epoch.
 fn telemetry_cfg(f: &Flags) -> TelemetryConfig {
     TelemetryConfig::for_window(f.epoch, f.window)
 }
@@ -431,6 +441,7 @@ fn real_main(args: &[String]) -> Result<(), CliError> {
                 workloads.truncate(n);
             }
             warn_ignored(&f, "suite", &["--arch", "--trace-check"]);
+            check_telemetry(&f, workloads.len() * suite::SUITE_KINDS.len())?;
             // Every (workload, architecture) cell is independent; run the
             // whole suite through the sharded cell executor. Results —
             // including the telemetry stream, which is serialised from the

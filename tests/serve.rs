@@ -149,6 +149,39 @@ fn over_budget_jobs_are_rejected_with_exit_code_8() {
     let _ = std::fs::remove_dir_all(spool);
 }
 
+/// A submit whose telemetry would keep more than
+/// `fgdram_telemetry::MAX_EPOCHS` epochs is refused at the door with a
+/// typed 400, and the daemon keeps serving.
+#[test]
+fn over_limit_telemetry_is_a_bad_request_and_the_daemon_stays_up() {
+    let spool = tmp_dir("epochs");
+    let daemon = Daemon::start(&spool, &[]);
+    let jsonl = spool.join("t.jsonl");
+    let out = daemon.client(&[
+        "submit",
+        "--suite",
+        "compute",
+        "--max-workloads",
+        "1",
+        "--warmup",
+        "0",
+        "--window",
+        "999999999",
+        "--epoch",
+        "1",
+        "--telemetry",
+        jsonl.to_str().expect("UTF-8 temp path"),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "bad-request exit code");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("HTTP 400") && err.contains("\"code\":\"bad-request\""), "{err}");
+    let health = fgdram_serve::http::request(&daemon.addr, "GET", "/healthz", &[], b"")
+        .expect("daemon still answers");
+    assert_eq!(health.status, 200);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(spool);
+}
+
 #[test]
 fn telemetry_streams_to_a_file_and_cancel_exits_10() {
     let spool = tmp_dir("telemetry");

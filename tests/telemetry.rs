@@ -1,6 +1,7 @@
 //! End-to-end telemetry tests: golden JSONL schema over a real STREAM
-//! simulation, epoch-boundary edge cases, and bit-identical output across
-//! repeated runs and `--jobs` levels of the suite executor.
+//! simulation, epoch-boundary edge cases, bit-identical output across
+//! repeated runs and `--jobs` levels of the suite executor, and the CSV
+//! file `fgdram_sim` writes for several series.
 
 use fgdram::core::experiments::{self, Parallelism, Scale};
 use fgdram::core::SystemBuilder;
@@ -8,6 +9,7 @@ use fgdram::model::config::DramKind;
 use fgdram::model::json;
 use fgdram::telemetry::{export, Telemetry, TelemetryConfig};
 use fgdram::workloads::suites;
+use std::process::Command;
 
 // ---------------------------------------------------------------------
 // Helpers
@@ -109,7 +111,6 @@ fn window_not_a_multiple_of_epoch_flushes_partial_tail() {
 fn zero_length_window_yields_no_epochs() {
     let t = stream_telemetry(0, 1_000);
     assert!(t.records.is_empty(), "no time elapsed, no epochs");
-    assert_eq!(t.dropped_epochs, 0);
     assert_eq!(export::to_jsonl_string(&[], &t), "");
 }
 
@@ -153,4 +154,33 @@ fn suite_telemetry_is_identical_across_job_counts() {
     let parallel = run_at(4);
     assert!(!serial.is_empty());
     assert_eq!(serial, parallel, "--jobs must not change telemetry output");
+}
+
+// ---------------------------------------------------------------------
+// The CLI's multi-series CSV: `compare` appends all four architectures'
+// series to one file under exactly one header.
+// ---------------------------------------------------------------------
+
+#[test]
+fn compare_csv_has_one_header_and_rows_for_every_kind() {
+    let dir = std::env::temp_dir().join(format!("fgdram_telemetry_csv_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("t.csv");
+    let out = Command::new(env!("CARGO_BIN_EXE_fgdram_sim"))
+        .args(["compare", "STREAM", "--warmup", "500", "--window", "2000", "--telemetry"])
+        .arg(&path)
+        .output()
+        .expect("run fgdram_sim compare");
+    assert!(out.status.success(), "compare failed: {}", String::from_utf8_lossy(&out.stderr));
+    let csv = std::fs::read_to_string(&path).expect("telemetry CSV written");
+    let _ = std::fs::remove_dir_all(&dir);
+    let lines: Vec<&str> = csv.lines().collect();
+    assert!(lines[0].starts_with("workload,arch,epoch,start_ns,end_ns,"), "{}", lines[0]);
+    assert_eq!(lines.iter().filter(|l| l.starts_with("workload,")).count(), 1, "{csv}");
+    for kind in DramKind::ALL {
+        let prefix = format!("STREAM,{},", kind.label());
+        let rows = lines.iter().filter(|l| l.starts_with(&prefix)).count();
+        assert_eq!(rows, 2, "two 1000 ns epochs for {}", kind.label());
+    }
+    assert_eq!(lines.len(), 1 + 2 * DramKind::ALL.len());
 }
