@@ -50,7 +50,7 @@ fn parse_args(args: &[String]) -> Result<(String, ServeConfig), String> {
         };
         match flag.as_str() {
             "--addr" => addr = value.clone(),
-            "--port" => port = num("--port")? as u16,
+            "--port" => port = value.parse().map_err(|e| format!("--port {value}: {e}"))?,
             "--spool" => cfg.spool_dir = PathBuf::from(value),
             "--workers" => cfg.workers = num("--workers")? as usize,
             "--max-queued-cells" => cfg.max_queued_cells = num("--max-queued-cells")? as usize,
@@ -161,4 +161,21 @@ fn main() -> ExitCode {
         eprintln!("fgdram-serve: drained, exiting");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(String, ServeConfig), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    /// An out-of-range port is a usage error, not a truncated port number.
+    #[test]
+    fn port_must_fit_u16() {
+        assert_eq!(parse(&["--port", "8080"]).map(|(addr, _)| addr), Ok("127.0.0.1:8080".into()));
+        let err = parse(&["--port", "70000"]).map(|(addr, _)| addr).expect_err("70000 > u16::MAX");
+        assert!(err.starts_with("--port 70000"), "{err}");
+    }
 }
