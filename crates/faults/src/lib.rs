@@ -58,4 +58,4 @@ pub mod timing;
 pub use chaos::{crc32, derive_seed, Dice};
 pub use ecc::{EccOutcome, SecdedModel};
 pub use engine::{DueOutcome, FaultCounters, FaultEngine};
-pub use spec::{FaultSpec, SpecError, DEFAULT_WATCHDOG_NS};
+pub use spec::{FaultSpec, DEFAULT_WATCHDOG_NS};

@@ -1,11 +1,12 @@
 //! The fault-specification grammar.
 //!
-//! A spec is a comma-separated list of `key=value` items (plus the bare
+//! A spec is a comma-separated [`fgdram_model::kv`] list (plus the bare
 //! `storm` preset), e.g. `ce=0.01,due=0.001,threshold=8` or
 //! `stall=2000x500,wedge=60000,watchdog=5000`. Parsing is strict: unknown
-//! keys, malformed numbers, and out-of-range probabilities are typed
-//! errors the CLI maps to a usage failure (exit 2), never a panic.
+//! keys, malformed numbers, and out-of-range probabilities are
+//! [`KvError`]s the CLI maps to a usage failure (exit 2), never a panic.
 
+use fgdram_model::kv::{self, KvError};
 use fgdram_model::units::Ns;
 
 /// A parsed, validated fault specification.
@@ -75,56 +76,6 @@ impl Default for FaultSpec {
     }
 }
 
-/// Why a fault spec failed to parse.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpecError {
-    /// Key is not part of the grammar.
-    UnknownKey(String),
-    /// Value failed to parse for its key.
-    BadValue {
-        /// The key whose value was malformed.
-        key: String,
-        /// The offending value text.
-        value: String,
-    },
-    /// A probability was outside `[0, 1]`.
-    BadProbability {
-        /// The key whose probability was out of range.
-        key: String,
-        /// The offending value.
-        value: f64,
-    },
-}
-
-impl core::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            SpecError::UnknownKey(k) => write!(f, "unknown fault-spec key '{k}'"),
-            SpecError::BadValue { key, value } => {
-                write!(f, "fault-spec {key}: cannot parse '{value}'")
-            }
-            SpecError::BadProbability { key, value } => {
-                write!(f, "fault-spec {key}: probability {value} outside [0, 1]")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-fn parse_prob(key: &str, value: &str) -> Result<f64, SpecError> {
-    let p: f64 =
-        value.parse().map_err(|_| SpecError::BadValue { key: key.into(), value: value.into() })?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(SpecError::BadProbability { key: key.into(), value: p });
-    }
-    Ok(p)
-}
-
-fn parse_num<T: core::str::FromStr>(key: &str, value: &str) -> Result<T, SpecError> {
-    value.parse().map_err(|_| SpecError::BadValue { key: key.into(), value: value.into() })
-}
-
 impl FaultSpec {
     /// Parses the comma-separated `key=value` grammar.
     ///
@@ -136,61 +87,31 @@ impl FaultSpec {
     ///
     /// # Errors
     ///
-    /// A [`SpecError`] naming the first offending item.
-    pub fn parse(s: &str) -> Result<FaultSpec, SpecError> {
+    /// A [`KvError`] naming the first offending item.
+    pub fn parse(s: &str) -> Result<FaultSpec, KvError> {
         let mut spec = FaultSpec::default();
-        for item in s.split(',').map(str::trim).filter(|i| !i.is_empty()) {
-            let (key, value) = match item.split_once('=') {
-                Some((k, v)) => (k, v),
-                None => {
-                    if item == "storm" {
-                        spec.apply_storm_preset();
-                        continue;
-                    }
-                    return Err(SpecError::UnknownKey(item.to_string()));
-                }
-            };
-            match key {
-                "ber" => spec.ber = parse_prob(key, value)?,
-                "ce" => spec.ce = parse_prob(key, value)?,
-                "due" => spec.due = parse_prob(key, value)?,
-                "dead-grain" => spec.dead_grains.push(parse_num(key, value)?),
-                "dead-bank" => {
-                    let (ch, b) = value.split_once('.').ok_or_else(|| SpecError::BadValue {
-                        key: key.into(),
-                        value: value.into(),
-                    })?;
-                    spec.dead_banks.push((parse_num(key, ch)?, parse_num(key, b)?));
-                }
+        for item in kv::items(s, ',') {
+            match item.key {
+                "storm" if item.value.is_none() => spec.apply_storm_preset(),
+                "ber" => spec.ber = item.prob()?,
+                "ce" => spec.ce = item.prob()?,
+                "due" => spec.due = item.prob()?,
+                "dead-grain" => spec.dead_grains.push(item.num()?),
+                "dead-bank" => spec.dead_banks.push(item.pair('.')?),
                 "stall" => {
-                    let (p, l) = value.split_once('x').ok_or_else(|| SpecError::BadValue {
-                        key: key.into(),
-                        value: value.into(),
-                    })?;
-                    spec.stall_period = parse_num(key, p)?;
-                    spec.stall_len = parse_num(key, l)?;
+                    (spec.stall_period, spec.stall_len) = item.pair('x')?;
                     if spec.stall_period == 0 {
-                        return Err(SpecError::BadValue { key: key.into(), value: value.into() });
+                        return Err(item.bad());
                     }
                 }
-                "wedge" => spec.wedge_at = Some(parse_num(key, value)?),
-                "timing" => spec.timing_faults = parse_num(key, value)?,
-                "threshold" => {
-                    spec.threshold = parse_num(key, value)?;
-                    if spec.threshold == 0 {
-                        return Err(SpecError::BadValue { key: key.into(), value: value.into() });
-                    }
-                }
-                "max-excluded" => spec.max_excluded = Some(parse_num(key, value)?),
-                "retry" => spec.retry_limit = parse_num(key, value)?,
-                "backoff" => spec.backoff_ns = parse_num(key, value)?,
-                "watchdog" => {
-                    spec.watchdog_ns = parse_num(key, value)?;
-                    if spec.watchdog_ns == 0 {
-                        return Err(SpecError::BadValue { key: key.into(), value: value.into() });
-                    }
-                }
-                other => return Err(SpecError::UnknownKey(other.to_string())),
+                "wedge" => spec.wedge_at = Some(item.num()?),
+                "timing" => spec.timing_faults = item.num()?,
+                "threshold" => spec.threshold = item.nonzero()?,
+                "max-excluded" => spec.max_excluded = Some(item.num()?),
+                "retry" => spec.retry_limit = item.num()?,
+                "backoff" => spec.backoff_ns = item.num()?,
+                "watchdog" => spec.watchdog_ns = item.nonzero()?,
+                _ => return Err(item.unknown()),
             }
         }
         Ok(spec)
@@ -273,15 +194,15 @@ mod tests {
 
     #[test]
     fn rejects_malformed_items() {
-        assert!(matches!(FaultSpec::parse("bogus=1"), Err(SpecError::UnknownKey(_))));
-        assert!(matches!(FaultSpec::parse("frob"), Err(SpecError::UnknownKey(_))));
-        assert!(matches!(FaultSpec::parse("ce=zebra"), Err(SpecError::BadValue { .. })));
-        assert!(matches!(FaultSpec::parse("ce=1.5"), Err(SpecError::BadProbability { .. })));
-        assert!(matches!(FaultSpec::parse("dead-bank=3"), Err(SpecError::BadValue { .. })));
-        assert!(matches!(FaultSpec::parse("stall=0x100"), Err(SpecError::BadValue { .. })));
-        assert!(matches!(FaultSpec::parse("stall=100"), Err(SpecError::BadValue { .. })));
-        assert!(matches!(FaultSpec::parse("threshold=0"), Err(SpecError::BadValue { .. })));
-        assert!(matches!(FaultSpec::parse("watchdog=0"), Err(SpecError::BadValue { .. })));
+        assert!(matches!(FaultSpec::parse("bogus=1"), Err(KvError::UnknownKey(_))));
+        assert!(matches!(FaultSpec::parse("frob"), Err(KvError::UnknownKey(_))));
+        assert!(matches!(FaultSpec::parse("ce=zebra"), Err(KvError::BadValue { .. })));
+        assert!(matches!(FaultSpec::parse("ce=1.5"), Err(KvError::BadProbability { .. })));
+        assert!(matches!(FaultSpec::parse("dead-bank=3"), Err(KvError::BadValue { .. })));
+        assert!(matches!(FaultSpec::parse("stall=0x100"), Err(KvError::BadValue { .. })));
+        assert!(matches!(FaultSpec::parse("stall=100"), Err(KvError::BadValue { .. })));
+        assert!(matches!(FaultSpec::parse("threshold=0"), Err(KvError::BadValue { .. })));
+        assert!(matches!(FaultSpec::parse("watchdog=0"), Err(KvError::BadValue { .. })));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The workspace's one JSON writer and reader.
 //!
-//! Telemetry lines and the daemon's response bodies are assembled by
-//! hand (the workspace has no registry dependencies); the two primitives
-//! that are easy to get subtly wrong — string escaping and non-finite
-//! floats — live here so every writer agrees on them. [`parse`] reads
-//! such bodies back (the client's view of the daemon, and the tests that
-//! prove every writer emits valid JSON).
+//! Every JSON the workspace emits (telemetry lines, the daemon's
+//! response bodies) goes through [`Object`]: it owns member separators,
+//! key and string escaping, and non-finite floats, so no caller writes
+//! JSON punctuation by hand (the workspace has no registry
+//! dependencies). [`parse`] reads such bodies back (the client's view of
+//! the daemon, and the tests that prove every writer emits valid JSON).
 
 // `write!` into a `String` cannot fail, so its results are dropped.
 use std::fmt::Write;
@@ -28,14 +28,88 @@ pub fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-/// Appends `v` as a JSON number; non-finite values become `null` (JSON
-/// has no NaN/Infinity). `Display` is shortest-roundtrip and prints
-/// integral floats bare (`2`), which is still a valid JSON number.
-pub fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+/// One JSON object being written, opened by [`object_into`] or [`body`]:
+/// each member method writes `"key":value` in call order, separators
+/// and escaping included. A float prints shortest-roundtrip (`2` when
+/// integral, still valid JSON), or `null` when not finite.
+#[derive(Debug)]
+pub struct Object<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+/// Appends one object to `out`, its members written by `members`.
+pub fn object_into(out: &mut String, members: impl FnOnce(&mut Object<'_>)) {
+    out.push('{');
+    members(&mut Object { out: &mut *out, first: true });
+    out.push('}');
+}
+
+/// One object as a response body: its own string, newline-terminated.
+pub fn body(members: impl FnOnce(&mut Object<'_>)) -> String {
+    let mut out = String::new();
+    object_into(&mut out, members);
+    out.push('\n');
+    out
+}
+
+fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+impl Object<'_> {
+    /// Writes the separator and `"key":`; the value goes after it.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        push_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, v: &str) -> &mut Self {
+        push_str(self.key(key), v);
+        self
+    }
+
+    /// An integer member.
+    pub fn u64(&mut self, key: &str, v: u64) -> &mut Self {
+        let _ = write!(self.key(key), "{v}");
+        self
+    }
+
+    /// A float member (`null` when not finite).
+    pub fn f64(&mut self, key: &str, v: f64) -> &mut Self {
+        let out = self.key(key);
+        let _ = if v.is_finite() { write!(out, "{v}") } else { out.write_str("null") };
+        self
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, v: bool) -> &mut Self {
+        self.key(key).push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// An array-of-integers member.
+    pub fn u64s(&mut self, key: &str, vs: &[u64]) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, v) in vs.iter().enumerate() {
+            let _ = write!(out, "{}{v}", if i > 0 { "," } else { "" });
+        }
+        out.push(']');
+        self
+    }
+
+    /// A nested-object member, its members written by `members`.
+    pub fn object(&mut self, key: &str, members: impl FnOnce(&mut Object<'_>)) -> &mut Self {
+        object_into(self.key(key), members);
+        self
     }
 }
 
@@ -303,15 +377,28 @@ mod tests {
 
     #[test]
     fn non_finite_floats_are_null() {
-        let render = |v: f64| {
-            let mut s = String::new();
-            push_f64(&mut s, v);
-            s
-        };
-        assert_eq!(render(f64::NAN), "null");
-        assert_eq!(render(f64::INFINITY), "null");
-        assert_eq!(render(2.0), "2");
-        assert_eq!(render(-0.125), "-0.125");
+        let out = body(|o| {
+            o.f64("nan", f64::NAN).f64("inf", f64::INFINITY).f64("two", 2.0).f64("neg", -0.125);
+        });
+        assert_eq!(out, "{\"nan\":null,\"inf\":null,\"two\":2,\"neg\":-0.125}\n");
+    }
+
+    #[test]
+    fn object_writes_separators_and_escapes() {
+        let out = body(|o| {
+            o.str("k\"", "v\n").u64("n", 7).bool("t", true).u64s("xs", &[1, 2]);
+            o.u64s("none", &[]).object("o", |o| {
+                o.object("empty", |_| {});
+            });
+        });
+        assert_eq!(
+            out,
+            "{\"k\\\"\":\"v\\n\",\"n\":7,\"t\":true,\"xs\":[1,2],\"none\":[],\
+             \"o\":{\"empty\":{}}}\n"
+        );
+        let mut s = String::from("[");
+        object_into(&mut s, |_| {});
+        assert_eq!(s, "[{}");
     }
 
     #[test]
@@ -330,18 +417,24 @@ mod tests {
     #[test]
     fn parse_reads_back_what_the_writer_escapes() {
         let text = "a\"b\\c\nd\r\te\u{1}\u{1f}é/";
-        let mut body = String::from("{\"msg\":\"");
-        escape_into(&mut body, text);
-        body.push_str("\",\"n\":312000,\"f\":-0.125e1,\"ok\":true,\"xs\":[1,[]]}\n");
+        let body = body(|o| {
+            o.str("msg", text).u64("n", 312_000).f64("f", -1.25).bool("ok", true);
+            o.object("xs", |o| {
+                o.u64s("a", &[1]);
+            });
+        });
         let v = parse(&body).expect("the writer's output parses");
         assert_eq!(v.get("msg").and_then(Value::as_str), Some(text));
         assert_eq!(v.get("n").and_then(Value::as_u64), Some(312_000));
         assert_eq!(v.get("f"), Some(&Value::Number(-1.25)));
         assert_eq!(v.get("f").and_then(Value::as_u64), None, "not an integer");
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
+        let xs = v.get("xs").and_then(|o| o.get("a"));
+        assert_eq!(xs, Some(&Value::Array(vec![Value::Number(1.0)])));
+        assert_eq!(parse("-0.125e1"), Ok(Value::Number(-1.25)));
         assert_eq!(
-            v.get("xs"),
-            Some(&Value::Array(vec![Value::Number(1.0), Value::Array(Vec::new())]))
+            parse("[1,[]]"),
+            Ok(Value::Array(vec![Value::Number(1.0), Value::Array(Vec::new())]))
         );
         assert_eq!(v.get("missing"), None);
         assert_eq!(parse("\"\\u00e9\\ud800\"").unwrap(), Value::String("é\u{fffd}".into()));

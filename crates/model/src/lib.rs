@@ -36,6 +36,7 @@ pub mod config;
 pub mod flatmap;
 pub mod fxhash;
 pub mod json;
+pub mod kv;
 pub mod rng;
 pub mod stats;
 pub mod stream;

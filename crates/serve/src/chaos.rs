@@ -10,8 +10,8 @@
 //!
 //! ## Grammar
 //!
-//! `--chaos` takes a comma-separated `key=value` list of probabilities,
-//! mirroring `--faults`:
+//! `--chaos` takes a comma-separated [`fgdram_model::kv`] list of
+//! probabilities, read like `--faults`:
 //!
 //! | key | fault injected |
 //! |---|---|
@@ -39,6 +39,7 @@ use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fgdram_faults::Dice;
+use fgdram_model::kv::{self, KvError};
 
 /// A parsed, validated chaos specification (all rates default to 0).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -61,68 +62,31 @@ pub struct ChaosSpec {
     pub ckpt_enospc: f64,
 }
 
-/// Why a chaos spec failed to parse (same stance as `FaultSpec`: typed,
-/// never a panic, mapped to a usage error by the CLI).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChaosSpecError {
-    /// Key is not part of the grammar.
-    UnknownKey(String),
-    /// Value failed to parse or a probability was outside `[0, 1]`.
-    BadValue {
-        /// The offending key.
-        key: String,
-        /// The offending value text.
-        value: String,
-    },
-}
-
-impl core::fmt::Display for ChaosSpecError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ChaosSpecError::UnknownKey(k) => write!(f, "unknown chaos-spec key '{k}'"),
-            ChaosSpecError::BadValue { key, value } => {
-                write!(f, "chaos-spec {key}: bad probability '{value}' (want [0, 1])")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ChaosSpecError {}
-
 impl ChaosSpec {
     /// Parses the comma-separated `key=value` grammar (see module docs).
     ///
     /// # Errors
     ///
-    /// A [`ChaosSpecError`] naming the first offending item.
-    pub fn parse(s: &str) -> Result<ChaosSpec, ChaosSpecError> {
+    /// A [`KvError`] naming the first offending item.
+    pub fn parse(s: &str) -> Result<ChaosSpec, KvError> {
         let mut spec = ChaosSpec::default();
-        for item in s.split(',').map(str::trim).filter(|i| !i.is_empty()) {
-            let (key, value) = match item.split_once('=') {
-                Some((k, v)) => (k.trim(), v.trim()),
-                None => {
-                    if item == "storm" {
-                        spec.apply_storm_preset();
-                        continue;
-                    }
-                    return Err(ChaosSpecError::UnknownKey(item.to_string()));
+        for item in kv::items(s, ',') {
+            let rate = match item.key {
+                "storm" if item.value.is_none() => {
+                    spec.apply_storm_preset();
+                    continue;
                 }
+                "torn" => &mut spec.torn,
+                "reset" => &mut spec.reset,
+                "dribble" => &mut spec.dribble,
+                "disconnect" => &mut spec.disconnect,
+                "garble" => &mut spec.garble,
+                "ckpt-corrupt" => &mut spec.ckpt_corrupt,
+                "ckpt-short" => &mut spec.ckpt_short,
+                "ckpt-enospc" => &mut spec.ckpt_enospc,
+                _ => return Err(item.unknown()),
             };
-            let p: f64 =
-                value.parse().ok().filter(|p| (0.0..=1.0).contains(p)).ok_or_else(|| {
-                    ChaosSpecError::BadValue { key: key.to_string(), value: value.to_string() }
-                })?;
-            match key {
-                "torn" => spec.torn = p,
-                "reset" => spec.reset = p,
-                "dribble" => spec.dribble = p,
-                "disconnect" => spec.disconnect = p,
-                "garble" => spec.garble = p,
-                "ckpt-corrupt" => spec.ckpt_corrupt = p,
-                "ckpt-short" => spec.ckpt_short = p,
-                "ckpt-enospc" => spec.ckpt_enospc = p,
-                other => return Err(ChaosSpecError::UnknownKey(other.to_string())),
-            }
+            *rate = item.prob()?;
         }
         Ok(spec)
     }
@@ -144,14 +108,7 @@ impl ChaosSpec {
     /// True when no fault can ever fire — the chaos layer is not engaged
     /// and the daemon behaves byte-identically to one built without it.
     pub fn is_noop(&self) -> bool {
-        self.torn == 0.0
-            && self.reset == 0.0
-            && self.dribble == 0.0
-            && self.disconnect == 0.0
-            && self.garble == 0.0
-            && self.ckpt_corrupt == 0.0
-            && self.ckpt_short == 0.0
-            && self.ckpt_enospc == 0.0
+        *self == ChaosSpec::default()
     }
 }
 
@@ -174,26 +131,6 @@ pub struct ChaosStats {
     pub ckpt_short: AtomicU64,
     /// Spool appends failed outright.
     pub ckpt_enospc: AtomicU64,
-}
-
-impl ChaosStats {
-    /// Renders the counters as the `/stats` JSON fragment (no trailing
-    /// newline; the caller embeds it).
-    pub fn json(&self) -> String {
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            "{{\"wire\":{{\"torn\":{},\"reset\":{},\"dribble\":{},\"disconnect\":{},\
-             \"garble\":{}}},\"disk\":{{\"corrupt\":{},\"short\":{},\"enospc\":{}}}}}",
-            g(&self.torn),
-            g(&self.reset),
-            g(&self.dribble),
-            g(&self.disconnect),
-            g(&self.garble),
-            g(&self.ckpt_corrupt),
-            g(&self.ckpt_short),
-            g(&self.ckpt_enospc)
-        )
-    }
 }
 
 /// What the chaos layer decided to do to one connection.
@@ -485,11 +422,11 @@ mod tests {
 
     #[test]
     fn rejects_malformed_items() {
-        assert!(matches!(ChaosSpec::parse("bogus=1"), Err(ChaosSpecError::UnknownKey(_))));
-        assert!(matches!(ChaosSpec::parse("frob"), Err(ChaosSpecError::UnknownKey(_))));
-        assert!(matches!(ChaosSpec::parse("torn=zebra"), Err(ChaosSpecError::BadValue { .. })));
-        assert!(matches!(ChaosSpec::parse("torn=1.5"), Err(ChaosSpecError::BadValue { .. })));
-        assert!(matches!(ChaosSpec::parse("torn=-0.1"), Err(ChaosSpecError::BadValue { .. })));
+        assert!(matches!(ChaosSpec::parse("bogus=1"), Err(KvError::UnknownKey(_))));
+        assert!(matches!(ChaosSpec::parse("frob"), Err(KvError::UnknownKey(_))));
+        assert!(matches!(ChaosSpec::parse("torn=zebra"), Err(KvError::BadValue { .. })));
+        assert!(matches!(ChaosSpec::parse("torn=1.5"), Err(KvError::BadProbability { .. })));
+        assert!(matches!(ChaosSpec::parse("torn=-0.1"), Err(KvError::BadProbability { .. })));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use fgdram_core::SimError;
 use fgdram_model::json;
+use fgdram_model::kv::KvError;
 
 /// A serving-layer failure.
 #[derive(Debug)]
@@ -157,12 +158,13 @@ impl WireError {
     /// Renders the typed JSON error body:
     /// `{"error":{"code":...,"exit_code":N,"message":...}}`.
     pub fn json_body(&self) -> String {
-        let mut out = String::from("{\"error\":{\"code\":\"");
-        json::escape_into(&mut out, &self.code);
-        out.push_str(&format!("\",\"exit_code\":{},\"message\":\"", self.exit_code));
-        json::escape_into(&mut out, &self.message);
-        out.push_str("\"}}\n");
-        out
+        json::body(|o| {
+            o.object("error", |o| {
+                o.str("code", &self.code)
+                    .u64("exit_code", self.exit_code.into())
+                    .str("message", &self.message);
+            });
+        })
     }
 }
 
@@ -217,6 +219,13 @@ impl std::error::Error for ServeError {
 impl From<SimError> for ServeError {
     fn from(e: SimError) -> Self {
         ServeError::Sim(e)
+    }
+}
+
+/// A refused job spec item is the client's mistake.
+impl From<KvError> for ServeError {
+    fn from(e: KvError) -> Self {
+        ServeError::BadRequest(format!("job spec: {e}"))
     }
 }
 

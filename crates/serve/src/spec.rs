@@ -1,7 +1,7 @@
 //! The wire job specification: the body of `POST /jobs`.
 //!
-//! A job spec is a short `key=value` text document (one pair per line;
-//! blank lines and `#` comments ignored) that maps one-to-one onto
+//! A job spec is one [`fgdram_model::kv`] item per line (`#` starts a
+//! comment line, in this grammar only) that maps one-to-one onto
 //! [`SuiteSpec`] — the same parameters `fgdram_sim suite` takes on the
 //! command line, which is what makes the byte-identity gate meaningful:
 //!
@@ -22,6 +22,7 @@
 //! here too: the spool loader applies all three to what it restores.
 
 use fgdram_core::suite::{SuiteKind, SuiteSpec};
+use fgdram_model::kv;
 use fgdram_telemetry::check_epochs;
 
 use crate::error::ServeError;
@@ -37,57 +38,28 @@ pub const DEFAULT_EPOCH: u64 = 1_000;
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] naming the offending line.
+/// [`ServeError::BadRequest`] naming the offending item.
 pub fn parse(body: &str) -> Result<SuiteSpec, ServeError> {
-    let bad = |msg: String| ServeError::BadRequest(msg);
     let mut which = None;
     let mut warmup = DEFAULT_WARMUP;
     let mut window = DEFAULT_WINDOW;
     let mut max_workloads = None;
     let mut telemetry = false;
     let mut epoch = DEFAULT_EPOCH;
-    for (ln, raw) in body.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (key, value) = line.split_once('=').ok_or_else(|| {
-            bad(format!("spec line {}: expected key=value, got '{line}'", ln + 1))
-        })?;
-        let (key, value) = (key.trim(), value.trim());
-        let num = |what: &str| -> Result<u64, ServeError> {
-            value.parse::<u64>().map_err(|e| bad(format!("spec {what}={value}: {e}")))
-        };
-        match key {
-            "suite" => {
-                which =
-                    Some(SuiteKind::parse(value).ok_or_else(|| {
-                        bad(format!("unknown suite '{value}' (compute|graphics)"))
-                    })?)
-            }
-            "warmup" => warmup = num("warmup")?,
-            "window" => window = num("window")?,
-            "max_workloads" => max_workloads = Some(num("max_workloads")? as usize),
-            "telemetry" => {
-                telemetry = match value {
-                    "1" | "true" => true,
-                    "0" | "false" => false,
-                    _ => return Err(bad(format!("spec telemetry={value}: expected 0|1"))),
-                }
-            }
-            "epoch" => {
-                epoch = num("epoch")?;
-                if epoch == 0 {
-                    return Err(bad("spec epoch must be >= 1 ns".to_string()));
-                }
-            }
-            other => return Err(bad(format!("unknown spec key '{other}'"))),
+    for item in kv::items(body, '\n') {
+        match item.key {
+            k if k.starts_with('#') => {}
+            "suite" => which = Some(SuiteKind::parse(item.text()?).ok_or_else(|| item.bad())?),
+            "warmup" => warmup = item.num()?,
+            "window" => window = item.nonzero()?,
+            "max_workloads" => max_workloads = Some(item.num()?),
+            "telemetry" => telemetry = item.flag()?,
+            "epoch" => epoch = item.nonzero()?,
+            _ => return Err(item.unknown().into()),
         }
     }
-    let which = which.ok_or_else(|| bad("spec missing 'suite=' key".to_string()))?;
-    if window == 0 {
-        return Err(bad("spec window must be >= 1 ns".to_string()));
-    }
+    let bad = |msg: String| ServeError::BadRequest(format!("job spec: {msg}"));
+    let which = which.ok_or_else(|| bad("missing key 'suite'".to_string()))?;
     let spec = SuiteSpec {
         which,
         warmup,
@@ -96,7 +68,7 @@ pub fn parse(body: &str) -> Result<SuiteSpec, ServeError> {
         telemetry_epoch: telemetry.then_some(epoch),
     };
     if telemetry {
-        check_epochs(spec.cell_count(), epoch, window).map_err(|e| bad(format!("spec {e}")))?;
+        check_epochs(spec.cell_count(), epoch, window).map_err(bad)?;
     }
     Ok(spec)
 }
@@ -193,5 +165,40 @@ mod tests {
         assert_eq!(parse(&body(at + 1)).unwrap_err().code(), "bad-request");
         assert!(parse("suite=graphics\ntelemetry=1\n").is_ok(), "full suite at the defaults");
         assert!(parse("suite=compute\nwindow=999999999\nepoch=1\n").is_ok(), "no telemetry");
+    }
+
+    /// The same mistakes through all three `key=value` grammars
+    /// (`--faults`, `--chaos`, the job spec) are refused alike.
+    #[test]
+    fn all_three_grammars_refuse_the_same_mistakes_alike() {
+        use crate::chaos::ChaosSpec;
+        use fgdram_faults::FaultSpec;
+        use fgdram_model::kv::KvError;
+        let faults = |s: &str| FaultSpec::parse(s).unwrap_err();
+        let chaos = |s: &str| ChaosSpec::parse(s).unwrap_err();
+        let job = |s: &str| parse(&format!("suite=compute\n{s}")).unwrap_err().to_string();
+        let served = |e: KvError| ServeError::from(e).to_string();
+        let unknown = |k: &str| KvError::UnknownKey(k.into());
+        let bad = |k: &str| KvError::BadValue { key: k.into(), value: "x".into() };
+        let prob = |k: &str| KvError::BadProbability { key: k.into(), value: 2.0 };
+        // An unknown key, and a bare item that is not a preset.
+        for (item, key) in [("bogus=1", "bogus"), (" bogus = 1 ", "bogus"), ("frob", "frob")] {
+            assert_eq!(faults(item), unknown(key));
+            assert_eq!(chaos(item), unknown(key));
+            assert_eq!(job(item), served(unknown(key)));
+        }
+        // A number that does not parse.
+        assert_eq!(faults("retry=x"), bad("retry"));
+        assert_eq!(chaos("torn=x"), bad("torn"));
+        assert_eq!(job("warmup=x"), served(bad("warmup")));
+        // A probability outside [0, 1] (the job spec has no probability).
+        assert_eq!(faults("ce=2"), prob("ce"));
+        assert_eq!(chaos("torn=2"), prob("torn"));
+        assert_eq!(faults("ce = 2"), prob("ce"));
+        // `key = value` with spaces reads as `key=value` in every grammar.
+        assert_eq!(FaultSpec::parse(" ce = 0.5 , storm ").unwrap().threshold, 8);
+        assert_eq!(FaultSpec::parse(" ce = 0.5 ").unwrap().ce, 0.5);
+        assert_eq!(ChaosSpec::parse(" torn = 0.5 ").unwrap().torn, 0.5);
+        assert_eq!(parse("suite = compute\n warmup = 5 ").unwrap().warmup, 5);
     }
 }

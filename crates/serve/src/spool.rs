@@ -421,38 +421,27 @@ fn parse_ckpt(s: &str) -> Result<LoadedJob, String> {
         return Err(format!("missing or foreign magic header (want {MAGIC})"));
     }
     let mut i = 1;
-    let mut take = |key: &str| -> Result<String, String> {
-        let v = lines
-            .get(i)
-            .and_then(|l| l.strip_prefix(key))
-            .map(|v| v.trim().to_string())
-            .ok_or_else(|| format!("missing '{key}' header"))?;
+    let mut header = |key: &str| -> Option<String> {
+        let v = lines.get(i)?.strip_prefix(key)?.trim().to_string();
         i += 1;
-        Ok(v)
+        Some(v)
     };
-    let id = take("id ")?;
-    // Header lines carry no CRC: hold what they restore to the submit
-    // rules, so damage cannot bring back a name the daemon never admits.
-    let tenant = unesc(&take("tenant ")?);
+    let missing = |key: &str| format!("missing '{key}' header");
+    // Header lines carry no CRC: hold what they restore to the rules the
+    // daemon issues and admits by, so damage cannot bring back an id or
+    // a name it never hands out (an id renders into JSON as it is).
+    let id = header("id ").ok_or_else(|| missing("id "))?;
+    let digits = id.strip_prefix('j').unwrap_or("");
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(format!("job id '{id}' is not one the daemon issues"));
+    }
+    let tenant = unesc(&header("tenant ").ok_or_else(|| missing("tenant "))?);
     spec::check_tenant(&tenant).map_err(|e| e.to_string())?;
-    let key = match lines.get(i).and_then(|l| l.strip_prefix("key ")) {
-        Some(v) => {
-            i += 1;
-            let k = unesc(v.trim());
-            spec::check_job_key(&k).map_err(|e| e.to_string())?;
-            Some(k)
-        }
-        None => None,
-    };
-    let spec_line = {
-        let v = lines
-            .get(i)
-            .and_then(|l| l.strip_prefix("spec "))
-            .map(|v| v.trim().to_string())
-            .ok_or("missing 'spec ' header")?;
-        i += 1;
-        v.replace(';', "\n")
-    };
+    let key = header("key ").map(|k| unesc(&k));
+    if let Some(k) = &key {
+        spec::check_job_key(k).map_err(|e| e.to_string())?;
+    }
+    let spec_line = header("spec ").ok_or_else(|| missing("spec "))?.replace(';', "\n");
     let spec = spec::parse(&spec_line).map_err(|e| format!("spec: {e}"))?;
     let workloads = spec.workloads();
     let total = workloads.len() * SUITE_KINDS.len();
@@ -873,6 +862,20 @@ mod tests {
                 }
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ids_the_daemon_never_issues_are_not_restored() {
+        // Each header id names its file, but only `j` and decimal digits
+        // was ever issued: a restored `j1"x` would break status JSON.
+        let (dir, spool) = tmp_spool("badid");
+        for id in ["j1\"x", "x7", "j", "j+1", "j1 2", "j12"] {
+            let body = format!("{MAGIC}\nid {id}\ntenant a\nspec suite=compute\n");
+            std::fs::write(dir.join(format!("{id}.ckpt")), body).unwrap();
+        }
+        let ids: Vec<String> = spool.load_all().into_iter().map(|j| j.id).collect();
+        assert_eq!(ids, ["j12"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

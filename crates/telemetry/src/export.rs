@@ -1,94 +1,49 @@
-//! Hand-rolled, dependency-free JSONL and CSV exporters.
+//! Dependency-free JSONL and CSV exporters; each JSONL line is written
+//! through [`fgdram_model::json`]'s one object writer.
 //!
 //! Output is fully deterministic: field order follows sample order, floats
 //! print via Rust's shortest-roundtrip `Display`, and nothing depends on
 //! hashing or wall-clock time.
 
-use crate::record::{EpochRecord, FieldValue, HistSummary};
+use crate::record::FieldValue;
 use crate::recorder::Telemetry;
 use fgdram_model::json;
 use std::io::{self, Write};
 
-/// Appends `s` as a quoted JSON string.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    json::escape_into(out, s);
-    out.push('"');
-}
-
-fn push_hist(out: &mut String, h: &HistSummary) {
-    out.push_str(&format!("{{\"count\":{},\"p50\":{},\"p95\":{}}}", h.count, h.p50, h.p95));
-}
-
-fn push_field_value(out: &mut String, v: &FieldValue) {
-    match v {
-        FieldValue::U64(u) => out.push_str(&u.to_string()),
-        FieldValue::F64(f) => json::push_f64(out, *f),
-        FieldValue::Array(a) => {
-            out.push('[');
-            for (i, x) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&x.to_string());
+/// Renders the whole series as JSON Lines: one object per epoch, `\n`
+/// terminated. `meta` key/value pairs (workload name, architecture
+/// label, ...) lead each object so every line is self-describing.
+pub fn to_jsonl_string(meta: &[(&str, &str)], t: &Telemetry) -> String {
+    let mut out = String::with_capacity(256 * t.records.len());
+    for r in &t.records {
+        json::object_into(&mut out, |o| {
+            for (k, v) in meta {
+                o.str(k, v);
             }
-            out.push(']');
-        }
-        FieldValue::Hist(h) => push_hist(out, h),
-    }
-}
-
-/// Renders one epoch as a single JSON object line (no trailing newline).
-/// `meta` key/value pairs (workload name, architecture label, ...) lead
-/// the object so every line is self-describing.
-fn record_to_json(meta: &[(&str, &str)], r: &EpochRecord) -> String {
-    let mut out = String::with_capacity(256);
-    out.push('{');
-    for (k, v) in meta {
-        push_json_str(&mut out, k);
-        out.push(':');
-        push_json_str(&mut out, v);
-        out.push(',');
-    }
-    out.push_str(&format!(
-        "\"epoch\":{},\"start_ns\":{},\"end_ns\":{}",
-        r.index, r.start_ns, r.end_ns
-    ));
-    for c in &r.components {
-        out.push(',');
-        push_json_str(&mut out, c.component);
-        out.push_str(":{");
-        for (i, (name, v)) in c.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            o.u64("epoch", r.index).u64("start_ns", r.start_ns).u64("end_ns", r.end_ns);
+            for c in &r.components {
+                o.object(c.component, |o| {
+                    for (name, v) in &c.fields {
+                        match v {
+                            FieldValue::U64(u) => o.u64(name, *u),
+                            FieldValue::F64(f) => o.f64(name, *f),
+                            FieldValue::Array(a) => o.u64s(name, a),
+                            FieldValue::Hist(h) => o.object(name, |o| {
+                                o.u64("count", h.count).u64("p50", h.p50).u64("p95", h.p95);
+                            }),
+                        };
+                    }
+                });
             }
-            push_json_str(&mut out, name);
-            out.push(':');
-            push_field_value(&mut out, v);
-        }
-        out.push('}');
+        });
+        out.push('\n');
     }
-    out.push('}');
     out
 }
 
-/// Writes the whole series as JSON Lines: one object per epoch, `\n`
-/// terminated.
+/// Writes [`to_jsonl_string`]'s lines to `w`.
 pub fn write_jsonl<W: Write>(w: &mut W, meta: &[(&str, &str)], t: &Telemetry) -> io::Result<()> {
-    for r in &t.records {
-        writeln!(w, "{}", record_to_json(meta, r))?;
-    }
-    Ok(())
-}
-
-/// Renders the whole series to one JSONL string (tests, small series).
-pub fn to_jsonl_string(meta: &[(&str, &str)], t: &Telemetry) -> String {
-    let mut s = String::new();
-    for r in &t.records {
-        s.push_str(&record_to_json(meta, r));
-        s.push('\n');
-    }
-    s
+    w.write_all(to_jsonl_string(meta, t).as_bytes())
 }
 
 /// Appends one CSV field, quoting when it contains a comma, quote, or
@@ -183,7 +138,7 @@ pub fn write_csv<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::ComponentRecord;
+    use crate::record::{ComponentRecord, EpochRecord, HistSummary};
 
     fn sample_series() -> Telemetry {
         let rec = EpochRecord {

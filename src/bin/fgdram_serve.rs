@@ -178,4 +178,11 @@ mod tests {
         let err = parse(&["--port", "70000"]).map(|(addr, _)| addr).expect_err("70000 > u16::MAX");
         assert!(err.starts_with("--port 70000"), "{err}");
     }
+
+    /// A chaos rate outside [0, 1] is a usage error naming its key.
+    #[test]
+    fn chaos_rate_must_be_a_probability() {
+        let err = parse(&["--chaos", "torn=2"]).map(|(addr, _)| addr).expect_err("2 > 1");
+        assert!(err.starts_with("--chaos: torn:"), "{err}");
+    }
 }

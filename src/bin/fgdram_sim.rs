@@ -143,7 +143,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 }
             }
             "--faults" => {
-                f.faults = Some(FaultSpec::parse(&next("--faults")?).map_err(|e| e.to_string())?)
+                f.faults = Some(
+                    FaultSpec::parse(&next("--faults")?).map_err(|e| format!("--faults: {e}"))?,
+                )
             }
             "--fault-seed" => {
                 f.fault_seed =

@@ -237,3 +237,19 @@ fn perturbed_real_trace_is_caught_by_the_checker() {
     let report = ProtocolChecker::new(DramConfig::new(DramKind::Fgdram)).report_trace(&trace);
     assert!(!report.is_clean(), "shifting commands earlier must violate timing");
 }
+
+// ---------------------------------------------------------------------
+// A bad spec through the real CLI is a usage error naming its key.
+// ---------------------------------------------------------------------
+
+#[test]
+fn out_of_range_fault_probability_exits_2_naming_the_key() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fgdram_sim"))
+        .args(["run", "STREAM", "--faults", "ce=2"])
+        .output()
+        .expect("run fgdram_sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--faults: ce:"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing simulated");
+}

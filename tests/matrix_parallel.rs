@@ -150,37 +150,34 @@ fn fig1b_with_empty_suite_is_finite() {
     assert!(e.total().value().is_finite(), "total NaN: {e:?}");
 }
 
-/// Sharded execution must beat sequential wall-clock on a multi-core
-/// host. Self-skips on single-core machines, where no overlap is
-/// possible; the conservative 1.2x bar (not jobs x) absorbs scheduler
-/// noise without flaking.
+/// At `jobs(2)` the executor runs two cells at once: each cell raises
+/// an in-flight counter and waits, for at most 10 s, until it reads 2,
+/// which only a second cell running beside it can bring about. A serial
+/// executor fails this by timeout, never by a wall-clock ratio, so a
+/// busy or single-core host cannot flake it. Speed itself is the repo
+/// benchmark's to measure (`suite_mix` runs `run_cells` at 2 jobs).
 #[test]
-fn sharded_matrix_is_faster_on_multicore() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < 2 {
-        eprintln!("skipping speedup check: only {cores} core(s) online");
-        return;
-    }
-    let workloads = &suites::compute_suite()[..4];
-    let kinds = [DramKind::QbHbm, DramKind::Fgdram];
-    let scale = |jobs| Scale {
-        warmup: 2_000,
-        window: 30_000,
-        max_workloads: None,
-        parallelism: Parallelism::jobs(jobs),
-    };
-    // Warm caches/allocator so the timed runs compare like with like.
-    experiments::run_matrix(workloads, &kinds, scale(1)).expect("warmup");
-    let t0 = std::time::Instant::now();
-    experiments::run_matrix(workloads, &kinds, scale(1)).expect("serial");
-    let serial = t0.elapsed();
-    let t1 = std::time::Instant::now();
-    experiments::run_matrix(workloads, &kinds, scale(cores.min(8))).expect("sharded");
-    let sharded = t1.elapsed();
-    assert!(
-        sharded.as_secs_f64() * 1.2 < serial.as_secs_f64(),
-        "expected >1.2x speedup on {cores} cores: serial {serial:?}, sharded {sharded:?}"
+fn two_jobs_run_two_cells_at_once() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+    let in_flight = AtomicUsize::new(0);
+    let saw_two = experiments::run_indexed(
+        2,
+        Parallelism::jobs(2),
+        |i| i.to_string(),
+        |_| {
+            in_flight.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while in_flight.load(Ordering::SeqCst) < 2 {
+                if Instant::now() > deadline {
+                    return Ok(false);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(true)
+        },
     );
+    assert_eq!(saw_two.expect("no cell fails"), [true, true], "the two cells never overlapped");
 }
 
 /// Degenerate shapes: empty workload list and empty kind list.

@@ -250,6 +250,24 @@ fn kill_dash_nine_then_restart_resumes_without_recompute() {
     let _ = std::fs::remove_dir_all(spool);
 }
 
+/// A bad `--chaos` value through the real daemon: exit 2 before the
+/// socket is bound or the spool opened.
+#[test]
+fn out_of_range_chaos_rate_exits_2_without_binding() {
+    let spool =
+        std::env::temp_dir().join(format!("fgdram_serve_e2e_badchaos_{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_fgdram-serve"))
+        .args(["--port", "0", "--chaos", "torn=2", "--spool"])
+        .arg(&spool)
+        .output()
+        .expect("run fgdram-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--chaos: torn:"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no listening banner");
+    assert!(!spool.exists(), "no spool opened");
+}
+
 /// One raw exchange with the daemon: `(status, body)`, the body checked
 /// to be exactly one JSON value.
 fn json_exchange(
