@@ -6,7 +6,8 @@
 //! fixed responses, and a [`ChunkedWriter`] for streaming bodies
 //! (`Transfer-Encoding: chunked`). Client side: [`request`] sends one
 //! request, reads the response head with the server's header reader
-//! (same caps), and decodes either body framing; [`BodyReader`] exposes
+//! (same caps), and decodes either body framing the server writes (a
+//! response with neither is an error); [`Response::stream_body`] exposes
 //! streamed bodies incrementally so telemetry can be relayed line by
 //! line as epochs arrive. Connections are `close`-only: one request per
 //! TCP connection keeps the state machine trivial and the daemon robust.
@@ -14,7 +15,7 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use crate::error::{ServeError, WireError};
+use crate::error::WireError;
 
 /// Cap on request head + body sizes; a job spec is a few hundred bytes,
 /// so anything near this is a protocol error, not a workload.
@@ -90,24 +91,24 @@ fn read_line_crlf<R: BufRead>(r: &mut R) -> io::Result<String> {
 /// everything else the typed 400 (the connection is torn down either
 /// way; the status tells the peer — and `/stats` — which defense
 /// fired).
-fn read_err(context: &str, e: &io::Error) -> ServeError {
+fn read_err(context: &str, e: &io::Error) -> WireError {
     if is_deadline(e) {
-        ServeError::Timeout(format!("{context} stalled past the read deadline"))
+        WireError::timeout(format_args!("{context} stalled past the read deadline"))
     } else if e.kind() == io::ErrorKind::UnexpectedEof {
         // A request torn mid-flight (peer vanished, connection cut) is a
         // transport failure: 408 so a retrying client tries again, where
         // a syntactically bad request stays a permanent 400.
-        ServeError::Timeout(format!("{context} incomplete: connection closed mid-request"))
+        WireError::timeout(format_args!("{context} incomplete: connection closed mid-request"))
     } else {
-        ServeError::BadRequest(format!("{context}: {e}"))
+        WireError::bad_request(format_args!("{context}: {e}"))
     }
 }
 
 /// Reads the header lines after a start line, up to the blank line that
 /// ends the head, with lowercased names — for requests and responses
 /// alike.
-fn read_headers<R: BufRead>(r: &mut R) -> Result<Vec<(String, String)>, ServeError> {
-    let bad = |m: &str| ServeError::BadRequest(m.to_string());
+fn read_headers<R: BufRead>(r: &mut R) -> Result<Vec<(String, String)>, WireError> {
+    let bad = WireError::bad_request;
     let mut headers = Vec::new();
     loop {
         let line = read_line_crlf(r).map_err(|e| read_err("header", &e))?;
@@ -132,11 +133,10 @@ fn read_headers<R: BufRead>(r: &mut R) -> Result<Vec<(String, String)>, ServeErr
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] on malformed framing,
-/// [`ServeError::Timeout`] when the peer dribbles past the read
-/// deadline.
-pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, ServeError> {
-    let bad = |m: &str| ServeError::BadRequest(m.to_string());
+/// A `bad-request` [`WireError`] on malformed framing, a `timeout` one
+/// when the peer dribbles past the read deadline.
+pub fn read_request<R: BufRead>(r: &mut R) -> Result<Request, WireError> {
+    let bad = WireError::bad_request;
     let line = read_line_crlf(r).map_err(|e| read_err("request line", &e))?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?.to_uppercase();
@@ -164,7 +164,6 @@ fn reason(status: u16) -> &'static str {
         201 => "Created",
         400 => "Bad Request",
         404 => "Not Found",
-        405 => "Method Not Allowed",
         408 => "Request Timeout",
         409 => "Conflict",
         422 => "Unprocessable Entity",
@@ -175,7 +174,8 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete response with a known body.
+/// Writes a complete response with a known body, and a `Retry-After`
+/// header when `retry_after_s` is set.
 ///
 /// # Errors
 ///
@@ -184,21 +184,7 @@ pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    write_response_ex(w, status, content_type, &[], body)
-}
-
-/// [`write_response`] with extra response headers (e.g. `Retry-After`).
-///
-/// # Errors
-///
-/// Propagates transport write failures.
-pub fn write_response_ex<W: Write>(
-    w: &mut W,
-    status: u16,
-    content_type: &str,
-    extra: &[(String, String)],
+    retry_after_s: Option<u64>,
     body: &[u8],
 ) -> io::Result<()> {
     write!(
@@ -209,29 +195,23 @@ pub fn write_response_ex<W: Write>(
         content_type,
         body.len()
     )?;
-    for (k, v) in extra {
-        write!(w, "{k}: {v}\r\n")?;
+    if let Some(s) = retry_after_s {
+        write!(w, "Retry-After: {s}\r\n")?;
     }
     w.write_all(b"\r\n")?;
     w.write_all(body)?;
     w.flush()
 }
 
-/// Writes the typed JSON error body for `e` (plus any extra headers the
-/// error carries, e.g. `Retry-After` on overload rejects).
+/// Writes the typed JSON error body for `e`, with its `Retry-After`
+/// hint when it carries one.
 ///
 /// # Errors
 ///
 /// Propagates transport write failures.
-pub fn write_error<W: Write>(w: &mut W, e: &ServeError) -> io::Result<()> {
-    let wire = WireError::from(e);
-    write_response_ex(
-        w,
-        wire.http_status(),
-        "application/json",
-        &e.extra_headers(),
-        wire.json_body().as_bytes(),
-    )
+pub fn write_error<W: Write>(w: &mut W, e: &WireError) -> io::Result<()> {
+    let body = e.json_body();
+    write_response(w, e.http_status(), "application/json", e.retry_after_s, body.as_bytes())
 }
 
 /// A `Transfer-Encoding: chunked` body writer. Each [`Self::chunk`] call
@@ -340,8 +320,6 @@ impl Response {
 enum Framing {
     Length(usize),
     Chunked,
-    /// No framing header: read to connection close.
-    Eof,
 }
 
 #[derive(Debug)]
@@ -395,16 +373,6 @@ impl BodyReader {
                 self.r.read_exact(&mut crlf)?;
                 Ok(Some(buf))
             }
-            Framing::Eof => {
-                let mut buf = vec![0u8; 16 * 1024];
-                let n = self.r.read(&mut buf)?;
-                if n == 0 {
-                    self.done = true;
-                    return Ok(None);
-                }
-                buf.truncate(n);
-                Ok(Some(buf))
-            }
         }
     }
 }
@@ -447,7 +415,7 @@ pub fn request(
                 .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?,
         )
     } else {
-        Framing::Eof
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "response without body framing"));
     };
     Ok(Response { status, headers: resp_headers, body: BodyReader { r, framing, done: false } })
 }
@@ -509,8 +477,8 @@ mod tests {
         {
             let mut r = io::BufReader::new(StallAfter { data: raw.to_vec(), at: 0 });
             let err = read_request(&mut r).expect_err("stalled request");
-            assert_eq!(err.code(), "timeout", "{raw:?}");
-            assert_eq!(WireError::from(&err).http_status(), 408);
+            assert_eq!(err.code, "timeout", "{raw:?}");
+            assert_eq!(err.http_status(), 408);
         }
     }
 
@@ -539,14 +507,7 @@ mod tests {
     #[test]
     fn extra_headers_ride_the_response() {
         let mut buf = Vec::new();
-        write_response_ex(
-            &mut buf,
-            429,
-            "application/json",
-            &[("Retry-After".to_string(), "3".to_string())],
-            b"{}",
-        )
-        .unwrap();
+        write_response(&mut buf, 429, "application/json", Some(3), b"{}").unwrap();
         let s = String::from_utf8(buf).unwrap();
         assert!(s.starts_with("HTTP/1.1 429 Too Many Requests\r\n"), "{s}");
         assert!(s.contains("Retry-After: 3\r\n"), "{s}");
@@ -582,7 +543,7 @@ mod tests {
                 let req = read_request(&mut r).expect("request");
                 let mut w = stream;
                 if i == 0 {
-                    write_response(&mut w, 200, "text/plain", &req.body).expect("respond");
+                    write_response(&mut w, 200, "text/plain", None, &req.body).expect("respond");
                 } else {
                     let mut cw = ChunkedWriter::start(&mut w, 200, "text/plain").expect("head");
                     for piece in req.body.chunks(3) {

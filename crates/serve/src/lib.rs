@@ -13,9 +13,10 @@
 //! - [`http`] — minimal HTTP/1.1: content-length and chunked framing,
 //!   one request per connection, server and client halves sharing one
 //!   head reader.
-//! - [`error`] — the typed rejection/failure taxonomy: wire `code`
-//!   strings, HTTP statuses, and `fgdram-client` exit codes, with
-//!   [`fgdram_core::SimError`] mapped through unchanged.
+//! - [`error`] — the typed rejection/failure taxonomy: one error type,
+//!   [`WireError`], and one table of wire `code` strings, HTTP statuses
+//!   and `fgdram-client` exit codes, with [`fgdram_core::SimError`]
+//!   mapped through unchanged.
 //! - [`spec`] — the `key=value` wire job spec.
 //! - [`spool`] — per-cell checkpoint files (exact-bit report encoding),
 //!   so a killed daemon resumes without recomputing finished cells; the
@@ -26,9 +27,9 @@
 //!   HTTP routes.
 //! - [`chaos`] — seeded wire/disk fault injection (`--chaos`), the
 //!   serving-layer sibling of `--faults`: every defense above ships with
-//!   the deterministic attack that exercises it. Wire faults wrap the
-//!   socket, except `garble`, which flips bytes of the parsed request
-//!   body.
+//!   the deterministic attack that exercises it. One table names the
+//!   eight fault classes; wire faults wrap the socket in one stream type,
+//!   except `garble`, which flips bytes of the parsed request body.
 //!
 //! ## Wire protocol
 //!
@@ -44,7 +45,7 @@
 //!
 //! Errors are JSON bodies
 //! `{"error":{"code":...,"exit_code":N,"message":...}}` with typed HTTP
-//! statuses — see [`error::ServeError`].
+//! statuses — see [`error::WireError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,5 +58,5 @@ pub mod spec;
 pub mod spool;
 
 pub use chaos::{Chaos, ChaosSpec};
-pub use error::ServeError;
+pub use error::WireError;
 pub use server::{ServeConfig, Server};

@@ -31,22 +31,22 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use fgdram_core::suite::{SuiteSpec, SUITE_KINDS};
+use fgdram_core::suite::SuiteSpec;
 use fgdram_core::SimError;
 use fgdram_model::config::DramKind;
 use fgdram_model::json;
 use fgdram_workloads::Workload;
 
-use crate::chaos::{Chaos, ChaosReader, ChaosSpec, ChaosWriter, WirePlan};
-use crate::error::{ServeError, WireError};
+use crate::chaos::{Chaos, ChaosSpec, ChaosStream, WirePlan};
+use crate::error::WireError;
 use crate::http::{read_request, write_error, write_response, ChunkedWriter, Request};
 use crate::spec;
 use crate::spool::{render_final, Artifact, CkptWriter, JobState, LoadedJob, Spool};
@@ -149,6 +149,7 @@ struct Counters {
     duplicate_records: u64,
 }
 
+#[derive(Default)]
 struct Inner {
     jobs: BTreeMap<String, Job>,
     tenants: BTreeMap<String, TenantQ>,
@@ -161,12 +162,53 @@ struct Inner {
     /// submits across client retries (and daemon restarts, via the
     /// spool).
     keys: BTreeMap<(String, String), String>,
-    next_id: u64,
+    /// The highest job number issued or restored (`j<N>`).
+    last_id: u64,
     shutdown: bool,
     stats: Counters,
 }
 
 impl Inner {
+    /// Admits a job restored from the spool, or a new submit (a job
+    /// with no cell done yet): counts it, registers its idempotency key,
+    /// and unless it is already terminal queues its missing cells and
+    /// takes a tenant slot. Cells it brings count as resumed and are
+    /// not recomputed.
+    fn admit(&mut self, job: LoadedJob, writer: Option<CkptWriter>) {
+        let LoadedJob { id, tenant, key, spec, cells, state, skipped_records, duplicate_records } =
+            job;
+        if let Some(n) = id.strip_prefix('j').and_then(|s| s.parse::<u64>().ok()) {
+            self.last_id = self.last_id.max(n);
+        }
+        let completed = cells.iter().filter(|c| c.is_some()).count();
+        self.stats.submitted += 1;
+        self.stats.resumed_cells += completed as u64;
+        self.stats.skipped_records += skipped_records;
+        self.stats.duplicate_records += duplicate_records;
+        if let Some(k) = key {
+            self.keys.insert((tenant.clone(), k), id.clone());
+        }
+        let missing: Vec<usize> =
+            cells.iter().enumerate().filter_map(|(i, a)| a.is_none().then_some(i)).collect();
+        let resume = !state.terminal();
+        let job = Job {
+            tenant: tenant.clone(),
+            workloads: spec.workloads(),
+            spec,
+            artifacts: cells,
+            completed,
+            state,
+            writer,
+        };
+        // Insert before enqueueing: the queue accounting reads the job's
+        // cell cost from the map.
+        self.jobs.insert(id.clone(), job);
+        if resume {
+            self.enqueue_cells(&tenant, &id, missing.into_iter());
+            self.tenants.entry(tenant).or_default().inflight_jobs += 1;
+        }
+    }
+
     fn enqueue_cells(&mut self, tenant: &str, job_id: &str, cells: impl Iterator<Item = usize>) {
         let cell_cost = self.jobs.get(job_id).map_or(0, |j| j.spec.cell_cost().max(1));
         let t = self.tenants.entry(tenant.to_string()).or_default();
@@ -256,73 +298,25 @@ impl Server {
         let chaos =
             (!cfg.chaos.is_noop()).then(|| Arc::new(Chaos::new(cfg.chaos.clone(), cfg.chaos_seed)));
         let spool = Spool::open(&cfg.spool_dir, chaos.clone())?;
-        let mut inner = Inner {
-            jobs: BTreeMap::new(),
-            tenants: BTreeMap::new(),
-            rr: VecDeque::new(),
-            queued_cells: 0,
-            queued_cost: 0,
-            keys: BTreeMap::new(),
-            next_id: 1,
-            shutdown: false,
-            stats: Counters::default(),
-        };
-        for loaded in spool.load_all() {
-            let LoadedJob {
-                id,
-                tenant,
-                key,
-                spec,
-                cells,
-                state,
-                skipped_records,
-                duplicate_records,
-            } = loaded;
-            if let Some(n) = id.strip_prefix('j').and_then(|s| s.parse::<u64>().ok()) {
-                inner.next_id = inner.next_id.max(n + 1);
-            }
-            let completed = cells.iter().filter(|c| c.is_some()).count();
-            // Every checkpointed cell restored here is one not recomputed,
-            // whether or not the job had finished.
-            inner.stats.resumed_cells += completed as u64;
-            inner.stats.submitted += 1;
-            inner.stats.skipped_records += skipped_records;
-            inner.stats.duplicate_records += duplicate_records;
-            if let Some(k) = key {
-                inner.keys.insert((tenant.clone(), k), id.clone());
-            }
-            // An unfinished job re-enqueues its missing cells; the
-            // completed ones are not recomputed.
-            let missing: Vec<usize> =
-                cells.iter().enumerate().filter_map(|(i, a)| a.is_none().then_some(i)).collect();
-            let resume = !state.terminal();
-            let writer = if resume {
-                eprintln!(
-                    "fgdram-serve: resumed {id} for tenant '{tenant}': {completed}/{} cells \
-                     checkpointed, re-queueing {}",
-                    cells.len(),
-                    missing.len()
-                );
-                Some(spool.reopen(&id)?)
-            } else {
+        let mut inner = Inner::default();
+        for job in spool.load_all() {
+            // An unfinished job re-opens its spool file and re-enqueues
+            // its missing cells.
+            let writer = if job.state.terminal() {
                 None
+            } else {
+                let done = job.cells.iter().filter(|c| c.is_some()).count();
+                eprintln!(
+                    "fgdram-serve: resumed {} for tenant '{}': {done}/{} cells \
+                     checkpointed, re-queueing {}",
+                    job.id,
+                    job.tenant,
+                    job.cells.len(),
+                    job.cells.len() - done
+                );
+                Some(spool.reopen(&job.id)?)
             };
-            let job = Job {
-                tenant: tenant.clone(),
-                workloads: spec.workloads(),
-                spec,
-                artifacts: cells,
-                completed,
-                state,
-                writer,
-            };
-            // Insert before enqueueing: the queue accounting reads the
-            // job's cell cost from the map.
-            inner.jobs.insert(id.clone(), job);
-            if resume {
-                inner.enqueue_cells(&tenant, &id, missing.into_iter());
-                inner.tenants.entry(tenant).or_default().inflight_jobs += 1;
-            }
+            inner.admit(job, writer);
         }
         let shared =
             Arc::new(Shared { m: Mutex::new(inner), cv: Condvar::new(), cfg, spool, chaos });
@@ -458,7 +452,7 @@ fn deliver(g: &mut Inner, job_id: &str, index: usize, result: Result<Artifact, S
             g.stats.done += 1;
         }
         Err(e) => {
-            let err = WireError::from(&ServeError::from(e));
+            let err = WireError::from(e);
             if let Some(w) = &mut job.writer {
                 let _ = w.mark_failed(&err);
             }
@@ -497,15 +491,14 @@ fn submit(
     tenant: &str,
     key: Option<&str>,
     body: &[u8],
-) -> Result<Submitted, ServeError> {
-    let body = std::str::from_utf8(body)
-        .map_err(|_| ServeError::BadRequest("job spec is not UTF-8".to_string()))?;
+) -> Result<Submitted, WireError> {
+    let body =
+        std::str::from_utf8(body).map_err(|_| WireError::bad_request("job spec is not UTF-8"))?;
     let spec = spec::parse(body)?;
-    let workloads = spec.workloads();
-    if workloads.is_empty() {
-        return Err(ServeError::BadRequest("spec selects zero workloads".to_string()));
+    let cells = spec.cell_count();
+    if cells == 0 {
+        return Err(WireError::bad_request("spec selects zero workloads"));
     }
-    let cells = workloads.len() * SUITE_KINDS.len();
     let cost = spec.cost();
     let mut g = shared.m.lock().expect("state lock");
     // Idempotency first, even during shutdown or overload: a retried
@@ -520,83 +513,61 @@ fn submit(
         }
     }
     if g.shutdown {
-        return Err(ServeError::ShuttingDown);
+        return Err(WireError::shutting_down());
     }
-    if cost > shared.cfg.max_job_cost {
+    let cfg = &shared.cfg;
+    if cost > cfg.max_job_cost {
         g.stats.rejected_budget += 1;
-        return Err(ServeError::Budget { cost, limit: shared.cfg.max_job_cost });
+        return Err(WireError::budget(cost, cfg.max_job_cost));
     }
     let inflight = g.tenants.get(tenant).map_or(0, |t| t.inflight_jobs);
-    if inflight >= shared.cfg.tenant_max_inflight {
+    if inflight >= cfg.tenant_max_inflight {
         g.stats.rejected_quota += 1;
-        return Err(ServeError::Quota {
-            tenant: tenant.to_string(),
-            inflight,
-            limit: shared.cfg.tenant_max_inflight,
-        });
+        return Err(WireError::quota(tenant, inflight, cfg.tenant_max_inflight));
     }
-    if g.queued_cells + cells > shared.cfg.max_queued_cells {
+    if g.queued_cells + cells > cfg.max_queued_cells {
         g.stats.rejected_queue += 1;
-        return Err(ServeError::QueueFull {
-            cells,
-            queued: g.queued_cells,
-            limit: shared.cfg.max_queued_cells,
-        });
+        return Err(WireError::queue_full(cells, g.queued_cells, cfg.max_queued_cells));
     }
     // Overload shedding: queue-wait is backlog cost over drain rate, so
     // once the backlog's simulated-ns cost exceeds the shed budget,
     // admitting more only grows latency for everyone. Typed 429 with a
     // Retry-After hint scaled to how far over budget the backlog is.
-    if g.queued_cost.saturating_add(cost) > shared.cfg.shed_cost {
+    if g.queued_cost.saturating_add(cost) > cfg.shed_cost {
         g.stats.rejected_overload += 1;
-        let retry_after_s = (1 + g.queued_cost / shared.cfg.shed_cost.max(1)).min(30);
-        return Err(ServeError::Overloaded {
-            queued_cost: g.queued_cost,
-            limit: shared.cfg.shed_cost,
-            retry_after_s,
-        });
+        let retry_after_s = (1 + g.queued_cost / cfg.shed_cost.max(1)).min(30);
+        return Err(WireError::overloaded(g.queued_cost, cfg.shed_cost, retry_after_s));
     }
-    let id = format!("j{}", g.next_id);
-    g.next_id += 1;
+    let id = format!("j{}", g.last_id + 1);
     let writer = shared
         .spool
         .create(&id, tenant, key, &spec)
-        .map_err(|e| ServeError::Sim(SimError::Io { context: format!("spool {id}"), source: e }))?;
-    let total = cells;
-    g.jobs.insert(
-        id.clone(),
-        Job {
-            tenant: tenant.to_string(),
-            spec,
-            workloads,
-            artifacts: (0..total).map(|_| None).collect(),
-            completed: 0,
-            state: JobState::Queued,
-            writer: Some(writer),
-        },
-    );
-    g.enqueue_cells(tenant, &id, 0..total);
-    g.tenants.entry(tenant.to_string()).or_default().inflight_jobs += 1;
-    g.stats.submitted += 1;
-    if let Some(k) = key {
-        g.keys.insert((tenant.to_string(), k.to_string()), id.clone());
-    }
+        .map_err(|e| SimError::Io { context: format!("spool {id}"), source: e })?;
+    let job = LoadedJob {
+        id: id.clone(),
+        tenant: tenant.to_string(),
+        key: key.map(str::to_string),
+        spec,
+        cells: (0..cells).map(|_| None).collect(),
+        state: JobState::Queued,
+        skipped_records: 0,
+        duplicate_records: 0,
+    };
+    g.admit(job, Some(writer));
     drop(g);
     shared.cv.notify_all();
-    Ok(Submitted { id, cells: total, cost, deduped: false })
+    Ok(Submitted { id, cells, cost, deduped: false })
 }
 
-fn cancel(shared: &Shared, job_id: &str) -> Result<String, ServeError> {
+fn cancel(shared: &Shared, job_id: &str) -> Result<String, WireError> {
     let mut g = shared.m.lock().expect("state lock");
     let tenant = {
         let Some(job) = g.jobs.get_mut(job_id) else {
-            return Err(ServeError::NotFound(format!("job {job_id}")));
+            return Err(WireError::not_found(format_args!("job {job_id}")));
         };
         if job.state.terminal() {
-            return Err(ServeError::BadRequest(format!(
-                "job {job_id} already {}",
-                job.state.label()
-            )));
+            let state = job.state.label();
+            return Err(WireError::bad_request(format_args!("job {job_id} already {state}")));
         }
         job.state = JobState::Canceled;
         if let Some(w) = &mut job.writer {
@@ -614,9 +585,9 @@ fn cancel(shared: &Shared, job_id: &str) -> Result<String, ServeError> {
     }))
 }
 
-fn status_json(g: &Inner, job_id: &str) -> Result<String, ServeError> {
+fn status_json(g: &Inner, job_id: &str) -> Result<String, WireError> {
     let Some(job) = g.jobs.get(job_id) else {
-        return Err(ServeError::NotFound(format!("job {job_id}")));
+        return Err(WireError::not_found(format_args!("job {job_id}")));
     };
     Ok(json::body(|o| {
         o.str("job", job_id)
@@ -665,21 +636,7 @@ fn stats_json(shared: &Shared, g: &Inner) -> String {
             }
         });
         if let Some(chaos) = &shared.chaos {
-            let (c, g) = (&chaos.stats, |c: &AtomicU64| c.load(Ordering::Relaxed));
-            o.object("chaos", |o| {
-                o.object("wire", |o| {
-                    o.u64("torn", g(&c.torn))
-                        .u64("reset", g(&c.reset))
-                        .u64("dribble", g(&c.dribble))
-                        .u64("disconnect", g(&c.disconnect))
-                        .u64("garble", g(&c.garble));
-                });
-                o.object("disk", |o| {
-                    o.u64("corrupt", g(&c.ckpt_corrupt))
-                        .u64("short", g(&c.ckpt_short))
-                        .u64("enospc", g(&c.ckpt_enospc));
-                });
-            });
+            o.object("chaos", |o| chaos.render_stats(o));
         }
     })
 }
@@ -690,15 +647,15 @@ fn wait_report(shared: &Shared, job_id: &str) -> Result<String, WireError> {
     let mut g = shared.m.lock().expect("state lock");
     loop {
         let Some(job) = g.jobs.get(job_id) else {
-            return Err(WireError::from(&ServeError::NotFound(format!("job {job_id}"))));
+            return Err(WireError::not_found(format_args!("job {job_id}")));
         };
         match &job.state {
             JobState::Done(report) => return Ok(report.clone()),
             JobState::Failed(e) => return Err(e.clone()),
-            JobState::Canceled => return Err(WireError::from(&ServeError::Canceled)),
+            JobState::Canceled => return Err(WireError::canceled()),
             JobState::Queued | JobState::Running => {
                 if g.shutdown {
-                    return Err(WireError::from(&ServeError::ShuttingDown));
+                    return Err(WireError::shutting_down());
                 }
             }
         }
@@ -715,7 +672,7 @@ fn stream_telemetry<W: Write>(shared: &Shared, job_id: &str, w: &mut W) -> io::R
         match g.jobs.get(job_id) {
             Some(job) => job.total(),
             None => {
-                return write_error(w, &ServeError::NotFound(format!("job {job_id}")));
+                return write_error(w, &WireError::not_found(format_args!("job {job_id}")));
             }
         }
     };
@@ -743,85 +700,73 @@ fn stream_telemetry<W: Write>(shared: &Shared, job_id: &str, w: &mut W) -> io::R
     cw.finish()
 }
 
+/// Serves one request on an accepted connection, through the chaos
+/// layer's plan for it (a `WirePlan::None` stream passes bytes straight
+/// through), garbling the request body first under a garble plan.
 fn handle_conn(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
-    let Some(chaos) = &shared.chaos else {
-        // Faithful path: `&TcpStream` is `Read + Write`, no wrapping.
-        return handle_conn_io(shared, &stream, &mut &stream, WirePlan::None);
-    };
-    let plan = chaos.wire_plan();
+    let plan = shared.chaos.as_ref().map_or(WirePlan::None, |c| c.wire_plan());
     if plan == WirePlan::Reset {
         // Dropped before reading: the peer sees a reset/EOF.
         return;
     }
-    let reader = ChaosReader::new(&stream, &plan);
-    let mut writer = ChaosWriter::new(&stream, &plan);
-    handle_conn_io(shared, reader, &mut writer, plan);
-}
-
-/// Serves one request over any transport — the real socket, or the
-/// chaos-wrapped one — garbling its body first under a garble `plan`.
-fn handle_conn_io<R: Read, W: Write>(shared: &Shared, r: R, w: &mut W, plan: WirePlan) {
-    let mut reader = BufReader::new(r);
+    let mut reader = BufReader::new(ChaosStream::new(&stream, &plan));
+    let mut writer = ChaosStream::new(&stream, &plan);
     let mut req = match read_request(&mut reader) {
         Ok(r) => r,
         Err(e) => {
             let mut g = shared.m.lock().expect("state lock");
-            match e {
-                ServeError::Timeout(_) => g.stats.timeouts += 1,
-                _ => g.stats.malformed += 1,
+            if e.code == "timeout" {
+                g.stats.timeouts += 1;
+            } else {
+                g.stats.malformed += 1;
             }
             drop(g);
-            let _ = write_error(w, &e);
+            let _ = write_error(&mut writer, &e);
             return;
         }
     };
     plan.garble(&mut req.body);
-    let _ = route(shared, &req, w);
+    let _ = route(shared, &req, &mut writer);
 }
 
-fn tenant_of(req: &Request) -> Result<String, ServeError> {
+fn tenant_of(req: &Request) -> Result<String, WireError> {
     let t = req.header("x-tenant").unwrap_or("anon");
     spec::check_tenant(t)?;
     Ok(t.to_string())
 }
 
 /// Validates the optional `X-Job-Key` idempotency header.
-fn job_key_of(req: &Request) -> Result<Option<String>, ServeError> {
+fn job_key_of(req: &Request) -> Result<Option<String>, WireError> {
     let Some(k) = req.header("x-job-key") else { return Ok(None) };
     spec::check_job_key(k)?;
     Ok(Some(k.to_string()))
 }
 
+const JSON: &str = "application/json";
+
 fn route<W: Write>(shared: &Shared, req: &Request, w: &mut W) -> io::Result<()> {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => write_response(w, 200, "text/plain", b"ok\n"),
+    let not_found = || WireError::not_found(format_args!("{} {}", req.method, req.path));
+    // A reply is its status, content type and body.
+    let reply = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => Ok((200, "text/plain", "ok\n".to_string())),
         ("GET", "/stats") => {
-            let body = stats_json(shared, &shared.m.lock().expect("state lock"));
-            write_response(w, 200, "application/json", body.as_bytes())
+            Ok((200, JSON, stats_json(shared, &shared.m.lock().expect("state lock"))))
         }
-        ("POST", "/jobs") => {
-            let outcome = tenant_of(req).and_then(|t| {
-                let key = job_key_of(req)?;
-                submit(shared, &t, key.as_deref(), &req.body)
-            });
-            match outcome {
-                // 200 (not 201) for a dedup hit: nothing was created,
-                // the client re-attached to the existing job.
-                Ok(Submitted { id, cells, cost, deduped }) => {
-                    let body = json::body(|o| {
-                        o.str("job", &id).u64("cells", cells as u64).u64("cost", cost);
-                        if deduped {
-                            o.bool("deduped", true);
-                        }
-                    });
-                    let status = if deduped { 200 } else { 201 };
-                    write_response(w, status, "application/json", body.as_bytes())
-                }
-                Err(e) => write_error(w, &e),
-            }
-        }
+        ("POST", "/jobs") => tenant_of(req)
+            .and_then(|t| submit(shared, &t, job_key_of(req)?.as_deref(), &req.body))
+            .map(|Submitted { id, cells, cost, deduped }| {
+                let body = json::body(|o| {
+                    o.str("job", &id).u64("cells", cells as u64).u64("cost", cost);
+                    if deduped {
+                        o.bool("deduped", true);
+                    }
+                });
+                // 200 (not 201) for a dedup hit: nothing was created, the
+                // client re-attached to the existing job.
+                (if deduped { 200 } else { 201 }, JSON, body)
+            }),
         (method, path) if path.starts_with("/jobs/") => {
             let rest = &path["/jobs/".len()..];
             let (id, action) = match rest.split_once('/') {
@@ -830,39 +775,32 @@ fn route<W: Write>(shared: &Shared, req: &Request, w: &mut W) -> io::Result<()> 
             };
             match (method, action) {
                 ("GET", None) => {
-                    let outcome = status_json(&shared.m.lock().expect("state lock"), id);
-                    match outcome {
-                        Ok(body) => write_response(w, 200, "application/json", body.as_bytes()),
-                        Err(e) => write_error(w, &e),
-                    }
+                    status_json(&shared.m.lock().expect("state lock"), id).map(|b| (200, JSON, b))
                 }
-                ("GET", Some("report")) => match wait_report(shared, id) {
-                    Ok(text) => write_response(w, 200, "text/plain", text.as_bytes()),
-                    Err(e) => write_response(
-                        w,
-                        e.http_status(),
-                        "application/json",
-                        e.json_body().as_bytes(),
-                    ),
-                },
-                ("GET", Some("telemetry")) => stream_telemetry(shared, id, w),
-                ("DELETE", None) => match cancel(shared, id) {
-                    Ok(body) => write_response(w, 200, "application/json", body.as_bytes()),
-                    Err(e) => write_error(w, &e),
-                },
-                _ => write_error(w, &ServeError::NotFound(format!("{} {}", req.method, req.path))),
+                ("GET", Some("report")) => wait_report(shared, id).map(|t| (200, "text/plain", t)),
+                ("GET", Some("telemetry")) => return stream_telemetry(shared, id, w),
+                ("DELETE", None) => cancel(shared, id).map(|b| (200, JSON, b)),
+                _ => Err(not_found()),
             }
         }
-        _ => write_error(w, &ServeError::NotFound(format!("{} {}", req.method, req.path))),
+        _ => Err(not_found()),
+    };
+    match reply {
+        Ok((status, content_type, body)) => {
+            write_response(w, status, content_type, None, body.as_bytes())
+        }
+        Err(e) => write_error(w, &e),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::Fault;
     use crate::http;
     use fgdram_core::report::SimReport;
     use fgdram_core::suite::render_report;
+    use std::io::Read;
 
     fn test_cfg(workers: usize, tag: &str) -> (ServeConfig, PathBuf) {
         let dir = std::env::temp_dir().join(format!("fgdram_serve_t_{}_{tag}", std::process::id()));
@@ -1160,7 +1098,7 @@ mod tests {
             assert!(http::request(&addr, "GET", "/healthz", &[], b"").is_err());
         }
         let chaos = server.shared.chaos.as_ref().expect("chaos engaged");
-        assert!(chaos.stats.reset.load(Ordering::Relaxed) >= 3);
+        assert!(chaos.injected[Fault::Reset as usize].load(Ordering::Relaxed) >= 3);
         server.shutdown();
         h.join().unwrap().unwrap();
         let _ = std::fs::remove_dir_all(dir);
@@ -1286,20 +1224,8 @@ mod tests {
             {
                 *c = 10 + i as u64;
             }
-            let c = &server.shared.chaos.as_ref().expect("chaos engaged").stats;
-            for (i, c) in [
-                &c.torn,
-                &c.reset,
-                &c.dribble,
-                &c.disconnect,
-                &c.garble,
-                &c.ckpt_corrupt,
-                &c.ckpt_short,
-                &c.ckpt_enospc,
-            ]
-            .into_iter()
-            .enumerate()
-            {
+            let chaos = server.shared.chaos.as_ref().expect("chaos engaged");
+            for (i, c) in chaos.injected.iter().enumerate() {
                 c.store(30 + i as u64, Ordering::Relaxed);
             }
         }

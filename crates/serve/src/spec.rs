@@ -25,7 +25,7 @@ use fgdram_core::suite::{SuiteKind, SuiteSpec};
 use fgdram_model::kv;
 use fgdram_telemetry::check_epochs;
 
-use crate::error::ServeError;
+use crate::error::WireError;
 
 /// Default warmup when the spec omits it (matches the CLI default).
 pub const DEFAULT_WARMUP: u64 = 20_000;
@@ -38,8 +38,8 @@ pub const DEFAULT_EPOCH: u64 = 1_000;
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] naming the offending item.
-pub fn parse(body: &str) -> Result<SuiteSpec, ServeError> {
+/// A `bad-request` [`WireError`] naming the offending item.
+pub fn parse(body: &str) -> Result<SuiteSpec, WireError> {
     let mut which = None;
     let mut warmup = DEFAULT_WARMUP;
     let mut window = DEFAULT_WINDOW;
@@ -58,7 +58,7 @@ pub fn parse(body: &str) -> Result<SuiteSpec, ServeError> {
             _ => return Err(item.unknown().into()),
         }
     }
-    let bad = |msg: String| ServeError::BadRequest(format!("job spec: {msg}"));
+    let bad = |msg: String| WireError::bad_request(format_args!("job spec: {msg}"));
     let which = which.ok_or_else(|| bad("missing key 'suite'".to_string()))?;
     let spec = SuiteSpec {
         which,
@@ -78,12 +78,13 @@ pub fn parse(body: &str) -> Result<SuiteSpec, ServeError> {
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] naming the tenant.
-pub(crate) fn check_tenant(t: &str) -> Result<(), ServeError> {
+/// A `bad-request` [`WireError`] naming the tenant.
+pub(crate) fn check_tenant(t: &str) -> Result<(), WireError> {
     let ok = !t.is_empty()
         && t.len() <= 64
         && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_');
-    ok.then_some(()).ok_or_else(|| ServeError::BadRequest(format!("invalid tenant name '{t}'")))
+    ok.then_some(())
+        .ok_or_else(|| WireError::bad_request(format_args!("invalid tenant name '{t}'")))
 }
 
 /// The idempotency key rule (`X-Job-Key`): 1–128 printable ASCII
@@ -91,10 +92,10 @@ pub(crate) fn check_tenant(t: &str) -> Result<(), ServeError> {
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] naming the key.
-pub(crate) fn check_job_key(k: &str) -> Result<(), ServeError> {
+/// A `bad-request` [`WireError`] naming the key.
+pub(crate) fn check_job_key(k: &str) -> Result<(), WireError> {
     let ok = !k.is_empty() && k.len() <= 128 && k.chars().all(|c| c.is_ascii_graphic() || c == ' ');
-    ok.then_some(()).ok_or_else(|| ServeError::BadRequest(format!("invalid job key '{k}'")))
+    ok.then_some(()).ok_or_else(|| WireError::bad_request(format_args!("invalid job key '{k}'")))
 }
 
 /// Renders a spec back to the canonical wire form (used for spooling; a
@@ -151,7 +152,7 @@ mod tests {
             "suite=compute\nmax_workloads=1\nwindow=999999999\ntelemetry=1\nepoch=1", // epochs
         ] {
             let err = parse(body).expect_err(body);
-            assert_eq!(err.code(), "bad-request", "{body}");
+            assert_eq!(err.code, "bad-request", "{body}");
         }
     }
 
@@ -162,7 +163,7 @@ mod tests {
         // Two cells, so half the limit per cell is the last window admitted.
         let at = fgdram_telemetry::MAX_EPOCHS / 2;
         assert!(parse(&body(at)).is_ok());
-        assert_eq!(parse(&body(at + 1)).unwrap_err().code(), "bad-request");
+        assert_eq!(parse(&body(at + 1)).unwrap_err().code, "bad-request");
         assert!(parse("suite=graphics\ntelemetry=1\n").is_ok(), "full suite at the defaults");
         assert!(parse("suite=compute\nwindow=999999999\nepoch=1\n").is_ok(), "no telemetry");
     }
@@ -171,13 +172,13 @@ mod tests {
     /// (`--faults`, `--chaos`, the job spec) are refused alike.
     #[test]
     fn all_three_grammars_refuse_the_same_mistakes_alike() {
-        use crate::chaos::ChaosSpec;
+        use crate::chaos::{ChaosSpec, Fault};
         use fgdram_faults::FaultSpec;
         use fgdram_model::kv::KvError;
         let faults = |s: &str| FaultSpec::parse(s).unwrap_err();
         let chaos = |s: &str| ChaosSpec::parse(s).unwrap_err();
         let job = |s: &str| parse(&format!("suite=compute\n{s}")).unwrap_err().to_string();
-        let served = |e: KvError| ServeError::from(e).to_string();
+        let served = |e: KvError| WireError::from(e).to_string();
         let unknown = |k: &str| KvError::UnknownKey(k.into());
         let bad = |k: &str| KvError::BadValue { key: k.into(), value: "x".into() };
         let prob = |k: &str| KvError::BadProbability { key: k.into(), value: 2.0 };
@@ -198,7 +199,7 @@ mod tests {
         // `key = value` with spaces reads as `key=value` in every grammar.
         assert_eq!(FaultSpec::parse(" ce = 0.5 , storm ").unwrap().threshold, 8);
         assert_eq!(FaultSpec::parse(" ce = 0.5 ").unwrap().ce, 0.5);
-        assert_eq!(ChaosSpec::parse(" torn = 0.5 ").unwrap().torn, 0.5);
+        assert_eq!(ChaosSpec::parse(" torn = 0.5 ").unwrap().rate(Fault::Torn), 0.5);
         assert_eq!(parse("suite = compute\n warmup = 5 ").unwrap().warmup, 5);
     }
 }

@@ -336,10 +336,13 @@ impl CkptWriter {
     }
 }
 
-/// True when `line` starts a new top-level element — where the loader
-/// resyncs to after a bad record.
-fn is_boundary(line: &str) -> bool {
-    line.starts_with("cell ") || line == "done" || line == "canceled" || line.starts_with("failed ")
+/// The first line at or after `from` that starts a new top-level
+/// element — where the loader resyncs to after a bad record.
+fn resync(lines: &[&str], from: usize) -> usize {
+    let boundary = |l: &&str| {
+        l.starts_with("cell ") || *l == "done" || *l == "canceled" || l.starts_with("failed ")
+    };
+    lines[from..].iter().position(boundary).map_or(lines.len(), |n| from + n)
 }
 
 /// Parses one cell record starting at `lines[i]` (which starts with
@@ -453,45 +456,36 @@ fn parse_ckpt(s: &str) -> Result<LoadedJob, String> {
     // One bad record skips to the next boundary; it never ends parsing.
     while i < lines.len() {
         let line = lines[i];
-        if line.is_empty() {
-            i += 1; // guard newline between records
-        } else if line.starts_with("cell ") {
-            match parse_record(&lines, i, total) {
-                Ok((index, artifact, next)) => {
-                    if cells[index].is_some() {
-                        duplicate_records += 1;
-                    }
-                    cells[index] = Some(artifact);
-                    i = next;
+        i += 1;
+        let marker = match line {
+            "" => continue, // guard newline between records
+            "done" => Some(JobState::Done(String::new())),
+            "canceled" => Some(JobState::Canceled),
+            _ => line.strip_prefix("failed ").map(|rest| {
+                let mut it = rest.splitn(3, ' ');
+                let code = it.next().unwrap_or("internal").to_string();
+                let exit_code = it.next().and_then(|v| v.parse().ok()).unwrap_or(1);
+                let message = unesc(it.next().unwrap_or(""));
+                JobState::Failed(WireError { code, exit_code, message, retry_after_s: None })
+            }),
+        };
+        if let Some(marker) = marker {
+            state = marker;
+            continue;
+        }
+        match line.starts_with("cell ").then(|| parse_record(&lines, i - 1, total)) {
+            Some(Ok((index, artifact, next))) => {
+                if cells[index].is_some() {
+                    duplicate_records += 1;
                 }
-                Err(_) => {
-                    skipped_records += 1;
-                    i += 1;
-                    while i < lines.len() && !is_boundary(lines[i]) {
-                        i += 1;
-                    }
-                }
+                cells[index] = Some(artifact);
+                i = next;
             }
-        } else if line == "done" {
-            state = JobState::Done(String::new());
-            i += 1;
-        } else if line == "canceled" {
-            state = JobState::Canceled;
-            i += 1;
-        } else if let Some(rest) = line.strip_prefix("failed ") {
-            let mut it = rest.splitn(3, ' ');
-            let code = it.next().unwrap_or("internal").to_string();
-            let exit_code = it.next().and_then(|v| v.parse().ok()).unwrap_or(1);
-            let message = unesc(it.next().unwrap_or(""));
-            state = JobState::Failed(WireError { code, exit_code, message });
-            i += 1;
-        } else {
-            // Orphan garbage (e.g. the tail of a short write): one skip,
-            // then resync.
-            skipped_records += 1;
-            i += 1;
-            while i < lines.len() && !is_boundary(lines[i]) {
-                i += 1;
+            // A bad record, or orphan garbage (e.g. the tail of a short
+            // write): one skip, then resync.
+            _ => {
+                skipped_records += 1;
+                i = resync(&lines, i);
             }
         }
     }
@@ -643,7 +637,7 @@ pub fn decode_report(line: &str) -> Option<SimReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosSpec;
+    use crate::chaos::{ChaosSpec, Fault};
     use fgdram_core::suite::SuiteKind;
 
     fn sample_report(seedish: u64) -> SimReport {
@@ -746,6 +740,7 @@ mod tests {
             code: "stall".into(),
             exit_code: 5,
             message: "no forward progress at t=9".into(),
+            retry_after_s: None,
         };
         w.mark_failed(&stall).expect("failed marker");
         drop(w);
@@ -766,7 +761,12 @@ mod tests {
         }
         w.mark_done().unwrap();
         let mut w = spool.create("j2", "a", None, &spec).unwrap();
-        let boom = WireError { code: "protocol".into(), exit_code: 4, message: "boom boom".into() };
+        let boom = WireError {
+            code: "protocol".into(),
+            exit_code: 4,
+            message: "boom boom".into(),
+            retry_after_s: None,
+        };
         w.mark_failed(&boom).unwrap();
         let mut w = spool.create("j3", "a", None, &spec).unwrap();
         w.mark_canceled().unwrap();
@@ -818,8 +818,12 @@ mod tests {
         let cell = j.cells[1].as_ref().expect("cell 1 restored");
         assert_eq!(format!("{:?}", cell.report), format!("{:?}", sample_report(1)));
         assert_eq!(cell.jsonl.as_deref(), Some("{\"x\":1}\n"));
-        let stall =
-            WireError { code: "stall".into(), exit_code: 5, message: "some message".into() };
+        let stall = WireError {
+            code: "stall".into(),
+            exit_code: 5,
+            message: "some message".into(),
+            retry_after_s: None,
+        };
         assert_eq!(j.state, JobState::Failed(stall.clone()));
         // The writer half: the same job spooled again is the same bytes.
         let (dir, spool) = tmp_spool("v2fixture");
@@ -1012,8 +1016,9 @@ mod tests {
         drop(w);
         let jobs = spool.load_all();
         let j = &jobs[0];
-        let total_bad = chaos.stats.ckpt_corrupt.load(std::sync::atomic::Ordering::Relaxed)
-            + chaos.stats.ckpt_short.load(std::sync::atomic::Ordering::Relaxed);
+        let injected =
+            |f: Fault| chaos.injected[f as usize].load(std::sync::atomic::Ordering::Relaxed);
+        let total_bad = injected(Fault::CkptCorrupt) + injected(Fault::CkptShort);
         assert!(total_bad > 0, "chaos actually injected disk faults");
         assert!(enospc_seen > 0, "ENOSPC-style appends surfaced as errors");
         assert!(j.skipped_records > 0 || j.duplicate_records > 0, "loader saw the damage");

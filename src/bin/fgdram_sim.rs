@@ -124,16 +124,25 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         match a.as_str() {
             "--arch" => f.arch = parse_arch(&next("--arch")?)?,
             "--warmup" => f.warmup = next("--warmup")?.parse().map_err(|e| format!("{e}"))?,
-            "--window" => f.window = next("--window")?.parse().map_err(|e| format!("{e}"))?,
+            "--window" => {
+                f.window = next("--window")?.parse().map_err(|e| format!("{e}"))?;
+                // The served job spec refuses a zero window too.
+                if f.window == 0 {
+                    return Err("--window must be >= 1 ns".to_string());
+                }
+            }
             "--wave" => f.wave = Some(next("--wave")?.parse().map_err(|e| format!("{e}"))?),
             "--mlp" => f.mlp = Some(next("--mlp")?.parse().map_err(|e| format!("{e}"))?),
             "--jobs" => f.jobs = next("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?,
             "--max-workloads" => {
-                f.max_workloads = Some(
-                    next("--max-workloads")?
-                        .parse()
-                        .map_err(|e| format!("--max-workloads: {e}"))?,
-                )
+                let n = next("--max-workloads")?
+                    .parse()
+                    .map_err(|e| format!("--max-workloads: {e}"))?;
+                // An empty suite has no gmean; the job spec refuses it too.
+                if n == 0 {
+                    return Err("--max-workloads must be >= 1".to_string());
+                }
+                f.max_workloads = Some(n);
             }
             "--telemetry" => f.telemetry = Some(next("--telemetry")?),
             "--epoch" => {

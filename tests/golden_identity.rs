@@ -32,16 +32,12 @@ use fgdram::workloads::suites;
 
 const GOLDEN_PATH: &str = "tests/golden/quick_suite.txt";
 
-/// The quick-scale suite matrix (the `Scale::quick` cells every bench and
-/// CI smoke run exercises), rendered via `Debug`.
+/// The quick-scale compute matrix (the `Scale::quick` cells
+/// `regen-experiments --quick` runs), rendered via `Debug`. `Scale::quick`
+/// is the one definition of the quick set.
 fn matrix_snapshot(jobs: usize) -> String {
     let scale = Scale::quick().with_jobs(jobs);
-    let suite = suites::compute_suite();
-    let workloads = &suite[..4.min(suite.len())];
-    let rows = experiments::run_matrix_with(workloads, &DramKind::ALL, scale, |w, k| {
-        SystemBuilder::new(k).workload(w.clone())
-    })
-    .expect("quick matrix");
+    let rows = experiments::compute_matrix(&DramKind::ALL, scale).expect("quick matrix");
     let mut out = String::new();
     for row in rows {
         out.push_str(&format!("{row:?}\n"));

@@ -182,6 +182,23 @@ fn over_limit_telemetry_is_a_bad_request_and_the_daemon_stays_up() {
     let _ = std::fs::remove_dir_all(spool);
 }
 
+/// The suite CLI refuses what a served job spec refuses: zero workloads
+/// (an empty suite has no gmean) and a zero window exit 2 before
+/// anything is simulated.
+#[test]
+fn suite_flags_the_job_spec_refuses_exit_2() {
+    for flag in ["--max-workloads", "--window"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fgdram_sim"))
+            .args(["suite", "compute", flag, "0"])
+            .output()
+            .expect("run fgdram_sim suite");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0: {stderr}");
+        assert!(stderr.contains(&format!("{flag} must be >= 1")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} 0 simulated nothing");
+    }
+}
+
 #[test]
 fn telemetry_streams_to_a_file_and_cancel_exits_10() {
     let spool = tmp_dir("telemetry");
