@@ -8,11 +8,11 @@ use fgdram_dram::DramDevice;
 use fgdram_energy::floorplan::{EnergyProfile, IoTechnology};
 use fgdram_energy::meter::{DataActivity, EnergyMeter, OpCounts};
 use fgdram_faults::{DueOutcome, EccOutcome, FaultEngine, FaultSpec, DEFAULT_WATCHDOG_NS};
+use fgdram_gpu::l2::MAX_MSHRS;
 use fgdram_gpu::{Gpu, L2Access, L2Cache, SectorAccess};
 use fgdram_model::addr::{MemRequest, PhysAddr, ReqId};
 use fgdram_model::cmd::TimedCommand;
 use fgdram_model::config::{ConfigError, CtrlConfig, DramConfig, DramKind, GpuConfig};
-use fgdram_model::flatmap::FlatMap;
 use fgdram_model::units::{GbPerSec, Ns};
 use fgdram_telemetry::{Recorder, Sampled, Telemetry, TelemetryConfig};
 use fgdram_workloads::Workload;
@@ -38,6 +38,22 @@ enum Event {
 
 /// MSHR entries of the L2, hence also the bound on in-flight fills.
 const L2_MSHRS: usize = 16_384;
+
+// Request ids. Every request takes the next value of one sequence, and
+// its `ReqId` is `seq << ENTRY_BITS | slot`: a read's slot is the L2 MSHR
+// entry its fill completes, a write's is `WRITE_SLOT`, which no entry can
+// be (`L2Cache::new` refuses more than `MAX_MSHRS` entries). Entries are
+// recycled, but the sequence sits above them, so ids still rise in
+// allocation order and same-time `Event::Fill`s keep their miss order.
+const ENTRY_BITS: u32 = 17;
+const WRITE_SLOT: u64 = MAX_MSHRS as u64;
+const _: () = assert!(L2_MSHRS <= MAX_MSHRS && WRITE_SLOT < 1 << ENTRY_BITS);
+
+/// The MSHR entry a read's id carries; `None` for a write.
+fn read_entry(id: ReqId) -> Option<usize> {
+    let slot = id.0 & ((1 << ENTRY_BITS) - 1);
+    (slot != WRITE_SLOT).then_some(slot as usize)
+}
 
 /// Builder for a [`System`].
 ///
@@ -243,11 +259,11 @@ impl SystemBuilder {
             gpu,
             l2,
             events: EventWheel::new(),
+            // Only an engaged fault engine retries reads.
+            retries: if faults.is_some() { vec![0; L2_MSHRS] } else { Vec::new() },
             // Pre-size every steady-state container to its backpressure
-            // bound so the step loop never grows them: `fills` tracks
-            // outstanding misses (one per L2 MSHR), the retry queues are
-            // capped by MAX_RETRY / MAX_L2_BLOCKED.
-            fills: FlatMap::with_bound(L2_MSHRS),
+            // bound so the step loop never grows them: the retry queues
+            // are capped by MAX_RETRY / MAX_L2_BLOCKED.
             retry_reqs: VecDeque::with_capacity(MAX_RETRY),
             l2_blocked: VecDeque::with_capacity(MAX_L2_BLOCKED),
             access_buf: Vec::with_capacity(256),
@@ -317,10 +333,9 @@ pub struct System {
     gpu: Gpu,
     l2: L2Cache,
     events: EventWheel<Event>,
-    /// In-flight fills by request id — `(sector address, corrected-error
-    /// re-reads so far)` — entered on an L2 miss, removed when the fill
-    /// event reaches the L2. (A plain tuple: see [`FlatMap::with_bound`].)
-    fills: FlatMap<(u64, u32)>,
+    /// Corrected-error re-reads so far, per L2 MSHR entry (empty without
+    /// a fault engine); an entry's count is reset when its fill lands.
+    retries: Vec<u32>,
     retry_reqs: VecDeque<MemRequest>,
     l2_blocked: VecDeque<SectorAccess>,
     access_buf: Vec<SectorAccess>,
@@ -483,11 +498,14 @@ impl System {
         while let Some((_, ev)) = self.events.pop_due(now) {
             match ev {
                 Event::Fill(req) => {
-                    if let Some((sector, _)) = self.fills.remove(req.0) {
+                    if let Some(entry) = read_entry(req) {
+                        if let Some(r) = self.retries.get_mut(entry) {
+                            *r = 0;
+                        }
                         let xbar = self.gpu_cfg.xbar_latency;
                         let core = self.gpu_cfg.core_latency;
                         let mut waiters = std::mem::take(&mut self.waiter_buf);
-                        self.l2.fill_done_into(PhysAddr(sector), &mut waiters);
+                        self.l2.fill_entry_done_into(entry, &mut waiters);
                         for &token in &waiters {
                             self.schedule(now + xbar + core, Event::Wake(token));
                         }
@@ -498,14 +516,12 @@ impl System {
                     self.gpu.sector_done(fgdram_gpu::AccessToken::from_u64(token), now);
                 }
                 Event::Retry(req_id) => {
-                    // Re-read after a corrected error: back through the
-                    // controller (and the fault oracle) like any miss fill.
-                    if let Some((sector, _)) = self.fills.get(req_id) {
-                        let req = MemRequest {
-                            id: ReqId(req_id),
-                            addr: PhysAddr(sector),
-                            is_write: false,
-                        };
+                    // Re-read after a corrected error, under the same id:
+                    // back through the controller (and the fault oracle)
+                    // like any miss fill.
+                    if let Some(entry) = read_entry(ReqId(req_id)) {
+                        let addr = self.l2.entry_sector(entry);
+                        let req = MemRequest { id: ReqId(req_id), addr, is_write: false };
                         if !self.ctrl.try_enqueue(req, now) {
                             self.retry_reqs.push_back(req);
                         }
@@ -552,8 +568,7 @@ impl System {
         let mut wbs = std::mem::take(&mut self.wb_buf);
         self.l2.take_writebacks_into(&mut wbs);
         for wb in wbs.drain(..) {
-            self.next_req += 1;
-            let req = MemRequest { id: ReqId(self.next_req), addr: wb, is_write: true };
+            let req = MemRequest { id: self.next_id(WRITE_SLOT), addr: wb, is_write: true };
             if !self.ctrl.try_enqueue(req, now) {
                 self.retry_reqs.push_back(req);
             }
@@ -646,13 +661,13 @@ impl System {
         fill_at: Ns,
         now: Ns,
     ) -> Result<(), SimError> {
-        // A completion without a fill entry is a writeback that never
-        // consults the L2; only misses register one.
-        let Some((sector, retries)) = self.fills.get_mut(req.0) else {
+        // A writeback never consults the L2; only misses carry an entry.
+        let Some(entry) = read_entry(req) else {
             self.schedule(fill_at, Event::Fill(req));
             return Ok(());
         };
-        let loc = self.ctrl.route(PhysAddr(*sector));
+        let loc = self.ctrl.route(self.l2.entry_sector(entry));
+        let retries = &mut self.retries[entry];
         let engine = self.faults.as_mut().expect("caller checked engine presence");
         match engine.classify_read(loc.channel, loc.bank) {
             EccOutcome::Clean => self.schedule(fill_at, Event::Fill(req)),
@@ -712,15 +727,20 @@ impl System {
 
     /// True when anything is still outstanding anywhere in the pipeline —
     /// the precondition for the watchdog to call silence a stall. All the
-    /// checks are O(1): every outstanding load has either a `fills`
-    /// entry (miss in flight) or a scheduled event, so the GPU needs no
-    /// per-warp scan.
+    /// checks are O(1): every outstanding load has either an L2 fill in
+    /// flight or a scheduled event, so the GPU needs no per-warp scan.
     fn has_pending_work(&self) -> bool {
         self.ctrl.pending() > 0
             || !self.retry_reqs.is_empty()
             || !self.l2_blocked.is_empty()
             || !self.events.is_empty()
-            || !self.fills.is_empty()
+            || self.l2.inflight_fills() > 0
+    }
+
+    /// The next request id, carrying `slot` (see [`ENTRY_BITS`]).
+    fn next_id(&mut self, slot: u64) -> ReqId {
+        self.next_req += 1;
+        ReqId(self.next_req << ENTRY_BITS | slot)
     }
 
     /// Routes one sector access through the L2; `false` means blocked
@@ -734,9 +754,8 @@ impl System {
             }
             L2Access::StoreDone | L2Access::Merged => true,
             L2Access::Miss { fill } => {
-                self.next_req += 1;
-                let req = MemRequest { id: ReqId(self.next_req), addr: fill, is_write: false };
-                self.fills.insert(self.next_req, (fill.0, 0));
+                let id = self.next_id(self.l2.last_miss_entry() as u64);
+                let req = MemRequest { id, addr: fill, is_write: false };
                 if !self.ctrl.try_enqueue(req, now) {
                     self.retry_reqs.push_back(req);
                 }
@@ -828,5 +847,79 @@ mod tests {
         assert_send::<fgdram_gpu::Gpu>();
         assert_send::<fgdram_gpu::L2Cache>();
         assert_send::<Box<dyn fgdram_model::stream::AccessStream>>();
+    }
+
+    fn gups(kind: DramKind) -> SystemBuilder {
+        SystemBuilder::new(kind)
+            .workload(fgdram_workloads::suites::by_name("GUPS").expect("in suite"))
+    }
+
+    /// The L2 recycles MSHR entries last-freed first, so an entry number
+    /// alone does not rise with miss order; the sequence above it must.
+    #[test]
+    fn read_ids_rise_in_allocation_order_although_entries_recycle() {
+        use fgdram_model::rng::SmallRng;
+        let mut sys = gups(DramKind::QbHbm).build().expect("builds");
+        let mut r = SmallRng::seed_from_u64(0x1D5);
+        let (mut live, mut waiters) = (Vec::new(), Vec::new());
+        let (mut last, mut top, mut reused) = (ReqId(0), 0, 0);
+        for token in 0..4_000 {
+            let id = if r.random_bool(0.2) {
+                let id = sys.next_id(WRITE_SLOT);
+                assert_eq!(read_entry(id), None, "write {id} names an entry");
+                id
+            } else if !live.is_empty() && r.random_bool(0.5) {
+                let entry = live.swap_remove(r.random_range(0..live.len() as u64) as usize);
+                sys.l2.fill_entry_done_into(entry, &mut waiters);
+                continue;
+            } else {
+                let addr = PhysAddr(r.random_range(0..1 << 24) & !31);
+                let L2Access::Miss { fill } = sys.l2.access(addr, false, token) else {
+                    continue;
+                };
+                let entry = sys.l2.last_miss_entry();
+                reused += u32::from(entry < top);
+                top = top.max(entry);
+                let id = sys.next_id(entry as u64);
+                assert_eq!(read_entry(id), Some(entry), "{id}");
+                assert_eq!(sys.l2.entry_sector(entry), fill, "{id}");
+                live.push(entry);
+                id
+            };
+            assert!(id > last, "{id} allocated after {last}");
+            last = id;
+        }
+        assert!(reused > 100, "entries must recycle below the high-water mark: {reused}");
+    }
+
+    /// A corrected error re-reads its request under the same id: the trace
+    /// shows some read id twice, always at one place. Every read id names
+    /// an MSHR entry; no write id does.
+    #[test]
+    fn a_retried_read_keeps_its_id() {
+        use fgdram_model::cmd::DramCommand;
+        use std::collections::HashMap;
+        let spec = FaultSpec::parse("ce=0.05").expect("valid spec");
+        let mut sys = gups(DramKind::Fgdram).faults(spec).with_trace().build().expect("builds");
+        sys.run_for(8_000).expect("runs");
+        let mut reads = HashMap::new();
+        let mut writes = 0;
+        for tc in sys.take_trace() {
+            match tc.cmd {
+                DramCommand::Read { bank, row, col, req, .. } => {
+                    assert!(read_entry(req).is_some_and(|e| e < L2_MSHRS), "{req}");
+                    let (place, n) = reads.entry(req).or_insert(((bank, row, col), 0));
+                    assert_eq!(*place, (bank, row, col), "{req} re-read elsewhere");
+                    *n += 1;
+                }
+                DramCommand::Write { req, .. } => {
+                    assert_eq!(read_entry(req), None, "{req}");
+                    writes += 1;
+                }
+                _ => {}
+            }
+        }
+        let reread = reads.values().filter(|(_, n)| *n > 1).count();
+        assert!(reread > 0 && writes > 0, "{reread} re-read ids, {writes} writes");
     }
 }

@@ -11,8 +11,8 @@
 //! the engine never iterates them (lookup/insert/remove only); the
 //! byte-identity suite in `tests/golden_identity.rs` pins that property.
 //!
-//! The engine's own churn-heavy maps have since moved to
-//! [`crate::flatmap::FlatMap`]; what still imports this module is the
+//! The engine itself keeps no hash map on its hot path (the L2 indexes
+//! its MSHR table directly); what still imports this module is the
 //! `benchmark/` shadow engine.
 
 use std::collections::{HashMap, HashSet};

@@ -33,7 +33,6 @@
 pub mod addr;
 pub mod cmd;
 pub mod config;
-pub mod flatmap;
 pub mod fxhash;
 pub mod json;
 pub mod kv;

@@ -115,58 +115,66 @@ fn parse_arch(s: &str) -> Result<DramKind, String> {
     }
 }
 
+/// The value after flag `name`.
+fn value<'a>(it: &mut impl Iterator<Item = &'a String>, name: &str) -> Result<&'a str, String> {
+    it.next().map(String::as_str).ok_or_else(|| format!("{name} needs a value"))
+}
+
+/// The numeric value after flag `name`; a bad value names the flag.
+fn number<'a, T>(it: &mut impl Iterator<Item = &'a String>, name: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    value(it, name)?.parse().map_err(|e| format!("{name}: {e}"))
+}
+
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut f = Flags::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut next =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match a.as_str() {
-            "--arch" => f.arch = parse_arch(&next("--arch")?)?,
-            "--warmup" => f.warmup = next("--warmup")?.parse().map_err(|e| format!("{e}"))?,
+        let name = a.as_str();
+        match name {
+            "--arch" => f.arch = parse_arch(value(&mut it, name)?)?,
+            "--warmup" => f.warmup = number(&mut it, name)?,
             "--window" => {
-                f.window = next("--window")?.parse().map_err(|e| format!("{e}"))?;
+                f.window = number(&mut it, name)?;
                 // The served job spec refuses a zero window too.
                 if f.window == 0 {
                     return Err("--window must be >= 1 ns".to_string());
                 }
             }
-            "--wave" => f.wave = Some(next("--wave")?.parse().map_err(|e| format!("{e}"))?),
-            "--mlp" => f.mlp = Some(next("--mlp")?.parse().map_err(|e| format!("{e}"))?),
-            "--jobs" => f.jobs = next("--jobs")?.parse().map_err(|e| format!("--jobs: {e}"))?,
+            "--wave" => f.wave = Some(number(&mut it, name)?),
+            "--mlp" => f.mlp = Some(number(&mut it, name)?),
+            "--jobs" => f.jobs = number(&mut it, name)?,
             "--max-workloads" => {
-                let n = next("--max-workloads")?
-                    .parse()
-                    .map_err(|e| format!("--max-workloads: {e}"))?;
+                let n = number(&mut it, name)?;
                 // An empty suite has no gmean; the job spec refuses it too.
                 if n == 0 {
                     return Err("--max-workloads must be >= 1".to_string());
                 }
                 f.max_workloads = Some(n);
             }
-            "--telemetry" => f.telemetry = Some(next("--telemetry")?),
+            "--telemetry" => f.telemetry = Some(value(&mut it, name)?.to_string()),
             "--epoch" => {
-                f.epoch = next("--epoch")?.parse().map_err(|e| format!("--epoch: {e}"))?;
+                f.epoch = number(&mut it, name)?;
                 if f.epoch == 0 {
                     return Err("--epoch must be >= 1 ns".to_string());
                 }
             }
             "--faults" => {
                 f.faults = Some(
-                    FaultSpec::parse(&next("--faults")?).map_err(|e| format!("--faults: {e}"))?,
+                    FaultSpec::parse(value(&mut it, name)?).map_err(|e| format!("{name}: {e}"))?,
                 )
             }
-            "--fault-seed" => {
-                f.fault_seed =
-                    next("--fault-seed")?.parse().map_err(|e| format!("--fault-seed: {e}"))?
-            }
+            "--fault-seed" => f.fault_seed = number(&mut it, name)?,
             "--grs" => f.grs = true,
             "--closed-page" => f.closed_page = true,
             "--trace-check" => f.trace_check = true,
             other => return Err(format!("unknown flag '{other}'")),
         }
-        if let Some(name) = FLAG_NAMES.iter().find(|n| **n == a.as_str()) {
-            f.present.push(name);
+        if let Some(known) = FLAG_NAMES.iter().find(|n| **n == name) {
+            f.present.push(known);
         }
     }
     // `run` and `compare` keep one series at a time; `suite` re-checks

@@ -199,6 +199,31 @@ fn suite_flags_the_job_spec_refuses_exit_2() {
     }
 }
 
+/// A numeric flag given a non-number is a usage error that names the
+/// flag, whichever flag it is.
+#[test]
+fn a_bad_numeric_value_exits_2_naming_its_flag() {
+    for flag in [
+        "--warmup",
+        "--window",
+        "--wave",
+        "--mlp",
+        "--jobs",
+        "--max-workloads",
+        "--epoch",
+        "--fault-seed",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fgdram_sim"))
+            .args(["suite", "compute", flag, "abc"])
+            .output()
+            .expect("run fgdram_sim suite");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} abc: {stderr}");
+        assert!(stderr.contains(&format!("{flag}: invalid digit")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} abc simulated nothing");
+    }
+}
+
 #[test]
 fn telemetry_streams_to_a_file_and_cancel_exits_10() {
     let spool = tmp_dir("telemetry");
