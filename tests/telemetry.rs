@@ -184,3 +184,44 @@ fn compare_csv_has_one_header_and_rows_for_every_kind() {
     }
     assert_eq!(lines.len(), 1 + 2 * DramKind::ALL.len());
 }
+
+// ---------------------------------------------------------------------
+// One epoch is the report: a single epoch spanning the whole window reads
+// the same derived numbers as the end-of-run `SimReport`, to the bit,
+// because both come from the same functions.
+// ---------------------------------------------------------------------
+
+#[test]
+fn one_epoch_equals_the_report() {
+    const WINDOW: u64 = 10_000;
+    for name in ["GUPS", "STREAM", "MCB"] {
+        for kind in DramKind::ALL {
+            let (r, t) = SystemBuilder::new(kind)
+                .workload(suites::by_name(name).expect("in suite"))
+                .telemetry(TelemetryConfig::for_window(WINDOW, WINDOW))
+                .run_instrumented(2_000, WINDOW)
+                .expect("simulation runs");
+            let jsonl = export::to_jsonl_string(&[], &t.expect("telemetry enabled"));
+            let lines: Vec<&str> = jsonl.lines().collect();
+            assert_eq!(lines.len(), 1, "{name}/{}: one epoch", kind.label());
+            let epoch = json::parse(lines[0]).expect("valid JSON");
+            let num = |path: &[&str]| -> f64 {
+                let v = path.iter().fold(&epoch, |v, k| v.get(k).expect("field present"));
+                match v {
+                    json::Value::Number(n) => *n,
+                    other => panic!("{path:?} is not a number: {other:?}"),
+                }
+            };
+            let cell = format!("{name}/{}", kind.label());
+            assert_eq!(num(&["ctrl", "row_hit_rate"]), r.row_hit_rate, "{cell}");
+            assert_eq!(num(&["l2", "hit_rate"]), r.l2_hit_rate, "{cell}");
+            assert_eq!(num(&["dram", "bw_gbps"]), r.bandwidth.value(), "{cell}");
+            assert_eq!(num(&["ctrl", "avg_read_latency_ns"]), r.avg_read_latency_ns, "{cell}");
+            assert_eq!(
+                num(&["ctrl", "read_latency", "p95"]),
+                r.p95_read_latency_ns as f64,
+                "{cell}"
+            );
+        }
+    }
+}
