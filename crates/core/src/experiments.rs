@@ -539,15 +539,22 @@ pub struct SuiteSummary {
 
 /// Summarises `other` vs `base` (both must be present in every row).
 pub fn summarise(matrix: &[MatrixRow], base: DramKind, other: DramKind) -> SuiteSummary {
-    let n = matrix.len().max(1) as f64;
+    summarise_pairs(matrix.iter().map(|row| (row.report(base), row.report(other))))
+}
+
+/// Summarises `(base, other)` report pairs, one per workload: the one place
+/// the suite means are computed. An empty list reads speedup 1.
+pub fn summarise_pairs<'a>(
+    pairs: impl IntoIterator<Item = (&'a SimReport, &'a SimReport)>,
+) -> SuiteSummary {
+    let mut n = 0;
     let mut log_speedup = 0.0;
     let (mut be, mut oe) = (0.0, 0.0);
     let (mut ba, mut oa) = (0.0, 0.0);
     let (mut bm, mut om) = (0.0, 0.0);
     let (mut bl, mut ol) = (0.0, 0.0);
-    for row in matrix {
-        let b = row.report(base);
-        let o = row.report(other);
+    for (b, o) in pairs {
+        n += 1;
         log_speedup += o.speedup_over(b).max(1e-9).ln();
         be += b.energy_per_bit.total().value();
         oe += o.energy_per_bit.total().value();
@@ -558,6 +565,7 @@ pub fn summarise(matrix: &[MatrixRow], base: DramKind, other: DramKind) -> Suite
         bl += b.avg_read_latency_ns;
         ol += o.avg_read_latency_ns;
     }
+    let n = n.max(1) as f64;
     SuiteSummary {
         gmean_speedup: (log_speedup / n).exp(),
         base_energy: be / n,
@@ -598,11 +606,7 @@ pub fn ablation_deep_bank_groups(scale: Scale) -> Result<f64, SimError> {
 /// Geometric-mean slowdown of `variant` against its kind's stock config.
 fn slowdown(workloads: &[Workload], variant: DramConfig, scale: Scale) -> Result<f64, SimError> {
     let rows = sweep(workloads, vec![DramConfig::new(variant.kind), variant], scale)?;
-    let mut log_ratio = 0.0;
-    for (base, alt) in rows[0].reports.iter().zip(&rows[1].reports) {
-        log_ratio += alt.speedup_over(base).max(1e-9).ln();
-    }
-    Ok(1.0 - (log_ratio / workloads.len().max(1) as f64).exp())
+    Ok(1.0 - summarise_pairs(rows[0].reports.iter().zip(&rows[1].reports)).gmean_speedup)
 }
 
 /// Section 1's opening motif with simulated energy: STREAM and GUPS at

@@ -20,6 +20,7 @@ use fgdram_model::units::Ns;
 use fgdram_telemetry::{export, Telemetry, TelemetryConfig};
 use fgdram_workloads::{suites, Workload};
 
+use crate::experiments::summarise_pairs;
 use crate::report::SimReport;
 use crate::system::{SimError, SystemBuilder};
 
@@ -153,12 +154,9 @@ pub struct SuiteCell {
 /// Panics if `reports.len() != 2 * workloads.len()`.
 pub fn render_report(which: SuiteKind, workloads: &[Workload], reports: &[SimReport]) -> String {
     assert_eq!(reports.len(), workloads.len() * SUITE_KINDS.len(), "one report per cell");
+    let pairs: Vec<_> = reports.chunks(SUITE_KINDS.len()).map(|c| (&c[0], &c[1])).collect();
     let mut out = String::new();
-    let mut logsum = 0.0;
-    let (mut eq, mut ef) = (0.0, 0.0);
-    for (wi, w) in workloads.iter().enumerate() {
-        let qb = &reports[wi * SUITE_KINDS.len()];
-        let fg = &reports[wi * SUITE_KINDS.len() + 1];
+    for (w, (qb, fg)) in workloads.iter().zip(&pairs) {
         out.push_str(&format!(
             "{:<14} speedup {:>5.2}x   {:>5.2} -> {:>5.2} pJ/b\n",
             w.name,
@@ -166,18 +164,15 @@ pub fn render_report(which: SuiteKind, workloads: &[Workload], reports: &[SimRep
             qb.energy_per_bit.total().value(),
             fg.energy_per_bit.total().value()
         ));
-        logsum += fg.speedup_over(qb).max(1e-9).ln();
-        eq += qb.energy_per_bit.total().value();
-        ef += fg.energy_per_bit.total().value();
     }
-    let n = workloads.len() as f64;
+    let s = summarise_pairs(pairs);
     out.push_str(&format!(
         "\n{} suite: gmean speedup {:.2}x, energy {:.2} -> {:.2} pJ/b ({:.0}%)\n",
         which.label(),
-        (logsum / n).exp(),
-        eq / n,
-        ef / n,
-        100.0 * (1.0 - (ef / eq))
+        s.gmean_speedup,
+        s.base_energy,
+        s.other_energy,
+        100.0 * (1.0 - (s.other_energy / s.base_energy))
     ));
     out
 }

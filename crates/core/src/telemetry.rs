@@ -5,9 +5,9 @@
 //! and lets the recorder's delta machinery attribute picojoules to epochs.
 
 use fgdram_dram::DramDevice;
-use fgdram_energy::meter::{DataActivity, EnergyMeter, OpCounts};
-use fgdram_model::units::Ns;
-use fgdram_telemetry::{SampleBuf, Sampled};
+use fgdram_energy::meter::{DataActivity, EnergyBreakdown, EnergyMeter, OpCounts};
+use fgdram_model::units::{Ns, Picojoules};
+use fgdram_telemetry::{ComponentRecord, Sampled};
 
 /// Samples cumulative energy, decomposed per the paper's breakdown
 /// (activation / on-die data movement / I/O), as float counters.
@@ -30,7 +30,7 @@ impl Sampled for EnergySampler<'_> {
         "energy"
     }
 
-    fn sample(&self, out: &mut SampleBuf) {
+    fn sample(&self, out: &mut ComponentRecord) {
         let ops = self.ops();
         let e = self.meter.energy(&ops, self.activity);
         out.counter_f64("act_pj", e.activation.value());
@@ -39,16 +39,18 @@ impl Sampled for EnergySampler<'_> {
         out.counter("bits", self.meter.data_bits(&ops));
     }
 
-    fn derive(&self, delta: &mut SampleBuf, _epoch_ns: Ns) {
-        let bits = delta.get_u64("bits") as f64;
-        let per = |pj: f64| if bits == 0.0 { 0.0 } else { pj / bits };
-        let act = delta.get_f64("act_pj");
-        let mov = delta.get_f64("move_pj");
-        let io = delta.get_f64("io_pj");
-        delta.gauge("act_pj_per_bit", per(act));
-        delta.gauge("move_pj_per_bit", per(mov));
-        delta.gauge("io_pj_per_bit", per(io));
-        delta.gauge("pj_per_bit", per(act + mov + io));
+    fn derive(&self, epoch: &mut ComponentRecord, _epoch_ns: Ns) {
+        let pj = |name| Picojoules::new(epoch.get_f64(name));
+        let energy = EnergyBreakdown {
+            activation: pj("act_pj"),
+            data_movement: pj("move_pj"),
+            io: pj("io_pj"),
+        };
+        let per_bit = energy.per_bit(epoch.get_u64("bits"));
+        epoch.gauge("act_pj_per_bit", per_bit.activation.value());
+        epoch.gauge("move_pj_per_bit", per_bit.data_movement.value());
+        epoch.gauge("io_pj_per_bit", per_bit.io.value());
+        epoch.gauge("pj_per_bit", energy.total().per_bits(epoch.get_u64("bits")).value());
     }
 }
 
@@ -64,8 +66,7 @@ mod tests {
         let mut dev = DramDevice::new(cfg.clone());
         let meter = EnergyMeter::new(&cfg);
         let activity = DataActivity::default();
-        let mut before = SampleBuf::new();
-        EnergySampler { meter: &meter, dev: &dev, activity }.sample(&mut before);
+        let before = EnergySampler { meter: &meter, dev: &dev, activity }.snapshot();
         let b = BankRef { channel: 0, bank: 0 };
         dev.issue(DramCommand::Activate { bank: b, row: 1, slice: 0 }, 0).unwrap();
         let rd = DramCommand::Read {
@@ -78,9 +79,7 @@ mod tests {
         let t = dev.earliest(&rd, 0).unwrap();
         dev.issue(rd, t).unwrap();
         let es = EnergySampler { meter: &meter, dev: &dev, activity };
-        let mut after = SampleBuf::new();
-        es.sample(&mut after);
-        let mut d = SampleBuf::delta(&before, &after);
+        let mut d = es.snapshot().delta(&before);
         es.derive(&mut d, 1000);
         assert!(d.get_f64("act_pj") > 0.0);
         assert!(d.get_f64("move_pj") > 0.0);

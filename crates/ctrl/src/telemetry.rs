@@ -1,16 +1,17 @@
 //! Telemetry instrumentation: the controller as a [`Sampled`] source.
 
 use fgdram_model::units::Ns;
-use fgdram_telemetry::{RawValue, SampleBuf, Sampled};
+use fgdram_telemetry::{ComponentRecord, Sampled};
 
 use crate::controller::Controller;
+use crate::stats::CtrlStats;
 
 impl Sampled for Controller {
     fn component(&self) -> &'static str {
         "ctrl"
     }
 
-    fn sample(&self, out: &mut SampleBuf) {
+    fn sample(&self, out: &mut ComponentRecord) {
         let s = self.stats();
         out.counter("reads", s.reads_accepted.get());
         out.counter("writes", s.writes_accepted.get());
@@ -23,32 +24,25 @@ impl Sampled for Controller {
         out.counter("auto_precharges", s.auto_precharges.get());
         out.counter("refreshes", s.refreshes.get());
         out.counter("drain_entries", s.drain_entries.get());
-        // Latency sum rides along as a counter so `derive` can turn the
-        // epoch's delta into an exact per-epoch mean (the histogram alone
-        // only gives bucket-edge quantiles).
+        // Exact, so a reader can pool several epochs' mean latency.
         out.counter(
             "read_latency_sum_ns",
             s.read_latency.stat().sum().min(u64::MAX as u128) as u64,
         );
-        out.log2_hist("read_latency", s.read_latency.buckets());
-        out.log2_hist("queue_depth", s.queue_depth.buckets());
-        out.gauge("pending", self.pending() as f64);
+        out.log2_hist("read_latency", &s.read_latency);
+        out.log2_hist("queue_depth", &s.queue_depth);
     }
 
-    fn derive(&self, delta: &mut SampleBuf, _epoch_ns: Ns) {
-        let hits = delta.get_u64("row_hits");
-        let acts = delta.get_u64("activates");
-        let cols = hits + acts;
-        delta.gauge("row_hit_rate", if cols == 0 { 0.0 } else { hits as f64 / cols as f64 });
-        let lat_count = match delta.get("read_latency") {
-            Some(RawValue::Log2Hist(b)) => b.iter().sum::<u64>(),
-            _ => 0,
+    fn derive(&self, epoch: &mut ComponentRecord, _epoch_ns: Ns) {
+        epoch.gauge("pending", self.pending() as f64);
+        let stats = CtrlStats {
+            row_hits: epoch.get_u64("row_hits").into(),
+            activates: epoch.get_u64("activates").into(),
+            read_latency: epoch.get_hist("read_latency"),
+            ..CtrlStats::default()
         };
-        let lat_sum = delta.get_u64("read_latency_sum_ns");
-        delta.gauge(
-            "avg_read_latency_ns",
-            if lat_count == 0 { 0.0 } else { lat_sum as f64 / lat_count as f64 },
-        );
+        epoch.gauge("row_hit_rate", stats.hit_rate());
+        epoch.gauge("avg_read_latency_ns", stats.read_latency.stat().mean());
     }
 }
 
@@ -64,17 +58,14 @@ mod tests {
         let cfg = DramConfig::new(DramKind::QbHbm);
         let mut dev = DramDevice::new(cfg.clone());
         let mut ctrl = Controller::new(&cfg, CtrlConfig::default()).unwrap();
-        let mut before = SampleBuf::new();
-        ctrl.sample(&mut before);
+        let before = ctrl.snapshot();
         ctrl.try_enqueue(MemRequest { id: ReqId(1), addr: PhysAddr(0), is_write: false }, 0);
         let mut done = Vec::new();
         let mut now = 0;
         while done.is_empty() {
             now = ctrl.tick(&mut dev, now, &mut done).unwrap().max(now + 1);
         }
-        let mut after = SampleBuf::new();
-        ctrl.sample(&mut after);
-        let mut d = SampleBuf::delta(&before, &after);
+        let mut d = ctrl.snapshot().delta(&before);
         ctrl.derive(&mut d, 1000);
         assert_eq!(d.get_u64("reads"), 1);
         assert_eq!(d.get_u64("activates"), 1);
@@ -82,6 +73,7 @@ mod tests {
         // One activate, then the column lands on the open row: 1 hit of 2
         // column opportunities.
         assert_eq!(d.get_f64("row_hit_rate"), 0.5);
+        assert_eq!(d.get_f64("row_hit_rate"), ctrl.stats().hit_rate());
         assert!(d.get_f64("avg_read_latency_ns") > 0.0);
         assert_eq!(d.get_f64("pending"), 0.0);
     }

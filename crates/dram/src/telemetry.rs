@@ -1,7 +1,7 @@
 //! Telemetry instrumentation: the DRAM stack as a [`Sampled`] source.
 
-use fgdram_model::units::Ns;
-use fgdram_telemetry::{SampleBuf, Sampled};
+use fgdram_model::units::{GbPerSec, Ns};
+use fgdram_telemetry::{ComponentRecord, Sampled};
 
 use crate::device::DramDevice;
 
@@ -10,7 +10,7 @@ impl Sampled for DramDevice {
         "dram"
     }
 
-    fn sample(&self, out: &mut SampleBuf) {
+    fn sample(&self, out: &mut ComponentRecord) {
         let k = self.total_counters();
         out.counter("activates", k.activates);
         out.counter("read_atoms", k.read_atoms);
@@ -37,17 +37,17 @@ impl Sampled for DramDevice {
         out.counter("faw_headroom_sum", faw_headroom);
     }
 
-    fn derive(&self, delta: &mut SampleBuf, epoch_ns: Ns) {
+    fn derive(&self, epoch: &mut ComponentRecord, epoch_ns: Ns) {
         let channels = self.config().channels as u64;
-        let busy = delta.get_array_sum("busy_ns_per_channel");
+        let busy = epoch.get_array_sum("busy_ns_per_channel");
         let denom = channels * epoch_ns;
-        delta.gauge("busy_frac", if denom == 0 { 0.0 } else { busy as f64 / denom as f64 });
-        let atoms = delta.get_u64("read_atoms") + delta.get_u64("write_atoms");
+        epoch.gauge("busy_frac", if denom == 0 { 0.0 } else { busy as f64 / denom as f64 });
+        let atoms = epoch.get_u64("read_atoms") + epoch.get_u64("write_atoms");
         let bytes = atoms * self.config().atom_bytes;
-        delta.gauge("bw_gbps", if epoch_ns == 0 { 0.0 } else { bytes as f64 / epoch_ns as f64 });
-        let acts = delta.get_u64("activates");
-        let headroom = delta.get_u64("faw_headroom_sum");
-        delta
+        epoch.gauge("bw_gbps", GbPerSec::from_bytes_over(bytes, epoch_ns).value());
+        let acts = epoch.get_u64("activates");
+        let headroom = epoch.get_u64("faw_headroom_sum");
+        epoch
             .gauge("faw_headroom_avg", if acts == 0 { 0.0 } else { headroom as f64 / acts as f64 });
     }
 }
@@ -58,28 +58,23 @@ mod tests {
     use fgdram_model::addr::ReqId;
     use fgdram_model::cmd::{BankRef, DramCommand};
     use fgdram_model::config::{DramConfig, DramKind};
-    use fgdram_telemetry::RawValue;
+    use fgdram_telemetry::Value;
 
     #[test]
     fn device_sample_exposes_heatmap_and_busy_time() {
         let mut d = DramDevice::new(DramConfig::new(DramKind::QbHbm));
-        let mut before = SampleBuf::new();
-        d.sample(&mut before);
+        let before = d.snapshot();
         let b = BankRef { channel: 1, bank: 2 };
         d.issue(DramCommand::Activate { bank: b, row: 1, slice: 0 }, 0).unwrap();
         let rd =
             DramCommand::Read { bank: b, row: 1, col: 0, auto_precharge: false, req: ReqId(0) };
         let t = d.earliest(&rd, 0).unwrap();
         d.issue(rd, t).unwrap();
-        let mut after = SampleBuf::new();
-        d.sample(&mut after);
-        let mut delta = SampleBuf::delta(&before, &after);
+        let mut delta = d.snapshot().delta(&before);
         d.derive(&mut delta, 1_000);
         assert_eq!(delta.get_u64("activates"), 1);
         assert_eq!(delta.get_u64("read_atoms"), 1);
-        let Some(RawValue::CounterArray(heat)) = delta.get("act_per_bank") else {
-            panic!("missing heatmap")
-        };
+        let Some(Value::Array(heat)) = delta.get("act_per_bank") else { panic!("missing heatmap") };
         let banks = d.config().banks_per_channel;
         assert_eq!(heat.len(), d.config().channels * banks);
         assert_eq!(heat[banks + 2], 1, "activate attributed to channel 1 bank 2");

@@ -13,7 +13,7 @@ use crate::ecc::{EccOutcome, SecdedModel};
 use crate::spec::FaultSpec;
 use fgdram_model::rng::SmallRng;
 use fgdram_model::units::Ns;
-use fgdram_telemetry::{SampleBuf, Sampled};
+use fgdram_telemetry::{ComponentRecord, Sampled};
 
 /// What the degradation policy decided after an uncorrectable error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,12 +229,15 @@ impl Sampled for FaultEngine {
         "faults"
     }
 
-    fn sample(&self, out: &mut SampleBuf) {
+    fn sample(&self, out: &mut ComponentRecord) {
         out.counter("ce", self.counters.ce);
         out.counter("due", self.counters.due);
         out.counter("retries", self.counters.retries);
-        out.gauge("excluded", self.excluded_total as f64);
-        out.gauge("watchdog_slack_ns", self.watchdog_slack);
+    }
+
+    fn derive(&self, epoch: &mut ComponentRecord, _epoch_ns: Ns) {
+        epoch.gauge("excluded", self.excluded_total as f64);
+        epoch.gauge("watchdog_slack_ns", self.watchdog_slack);
     }
 }
 
@@ -338,9 +341,9 @@ mod tests {
     #[test]
     fn sampled_schema_is_stable() {
         let e = FaultEngine::new(&spec("ce=0.1"), 1, 4);
-        let mut buf = SampleBuf::new();
-        e.sample(&mut buf);
-        let names: Vec<&str> = buf.fields().iter().map(|(n, _)| *n).collect();
+        let mut epoch = e.snapshot();
+        e.derive(&mut epoch, 1);
+        let names: Vec<&str> = epoch.fields.iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["ce", "due", "retries", "excluded", "watchdog_slack_ns"]);
     }
 }

@@ -1,9 +1,9 @@
 //! Telemetry instrumentation: GPU front end and L2 as [`Sampled`] sources.
 
 use fgdram_model::units::Ns;
-use fgdram_telemetry::{SampleBuf, Sampled};
+use fgdram_telemetry::{ComponentRecord, Sampled};
 
-use crate::l2::L2Cache;
+use crate::l2::{L2Cache, L2Stats};
 use crate::sm::Gpu;
 
 impl Sampled for Gpu {
@@ -11,22 +11,22 @@ impl Sampled for Gpu {
         "gpu"
     }
 
-    fn sample(&self, out: &mut SampleBuf) {
+    fn sample(&self, out: &mut ComponentRecord) {
         let s = self.stats();
         out.counter("retired", s.retired);
         out.counter("loads_issued", s.loads_issued);
         out.counter("stores_issued", s.stores_issued);
         out.counter("sectors", s.sectors);
-        out.gauge("active_warps", self.active_warps() as f64);
-        out.gauge("outstanding_loads", self.outstanding_loads() as f64);
-        out.gauge("parked_warps", self.parked_warps() as f64);
     }
 
-    fn derive(&self, delta: &mut SampleBuf, _epoch_ns: Ns) {
+    fn derive(&self, epoch: &mut ComponentRecord, _epoch_ns: Ns) {
+        let active = self.active_warps() as f64;
+        let outstanding = self.outstanding_loads() as f64;
+        epoch.gauge("active_warps", active);
+        epoch.gauge("outstanding_loads", outstanding);
+        epoch.gauge("parked_warps", self.parked_warps() as f64);
         // Instantaneous MLP: in-flight loads per warp that has any.
-        let active = delta.get_f64("active_warps");
-        let outstanding = delta.get_f64("outstanding_loads");
-        delta.gauge("mlp", if active == 0.0 { 0.0 } else { outstanding / active });
+        epoch.gauge("mlp", if active == 0.0 { 0.0 } else { outstanding / active });
     }
 }
 
@@ -35,7 +35,7 @@ impl Sampled for L2Cache {
         "l2"
     }
 
-    fn sample(&self, out: &mut SampleBuf) {
+    fn sample(&self, out: &mut ComponentRecord) {
         let s = self.stats();
         out.counter("hits", s.hits.get());
         out.counter("misses", s.misses.get());
@@ -44,13 +44,17 @@ impl Sampled for L2Cache {
         out.counter("writeback_sectors", s.writeback_sectors.get());
         out.counter("evictions", s.evictions.get());
         out.counter("blocked", s.blocked.get());
-        out.gauge("inflight_fills", self.inflight_fills() as f64);
     }
 
-    fn derive(&self, delta: &mut SampleBuf, _epoch_ns: Ns) {
-        let hits = delta.get_u64("hits") + delta.get_u64("merges");
-        let total = hits + delta.get_u64("misses");
-        delta.gauge("hit_rate", if total == 0 { 0.0 } else { hits as f64 / total as f64 });
+    fn derive(&self, epoch: &mut ComponentRecord, _epoch_ns: Ns) {
+        epoch.gauge("inflight_fills", self.inflight_fills() as f64);
+        let stats = L2Stats {
+            hits: epoch.get_u64("hits").into(),
+            misses: epoch.get_u64("misses").into(),
+            merges: epoch.get_u64("merges").into(),
+            ..L2Stats::default()
+        };
+        epoch.gauge("hit_rate", stats.hit_rate());
     }
 }
 
@@ -61,20 +65,17 @@ mod tests {
     use fgdram_model::config::L2Config;
 
     #[test]
-    fn l2_epoch_hit_rate_from_deltas() {
+    fn l2_epoch_hit_rate_of_deltas() {
         let mut l2 = L2Cache::new(L2Config::default(), 64);
         let a = PhysAddr(0x1000);
         l2.access(a, false, 1); // miss
         l2.fill_done(a);
-        let mut before = SampleBuf::new();
-        l2.sample(&mut before);
+        let before = l2.snapshot();
         // Inside the "epoch": two hits, one fresh miss.
         l2.access(a, false, 2);
         l2.access(a, false, 3);
         l2.access(PhysAddr(0x9000), false, 4);
-        let mut after = SampleBuf::new();
-        l2.sample(&mut after);
-        let mut d = SampleBuf::delta(&before, &after);
+        let mut d = l2.snapshot().delta(&before);
         l2.derive(&mut d, 1000);
         assert_eq!(d.get_u64("hits"), 2);
         assert_eq!(d.get_u64("misses"), 1);

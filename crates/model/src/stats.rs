@@ -36,6 +36,12 @@ impl Counter {
     }
 }
 
+impl From<u64> for Counter {
+    fn from(n: u64) -> Self {
+        Counter(n)
+    }
+}
+
 impl core::fmt::Display for Counter {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         self.0.fmt(f)
@@ -43,7 +49,7 @@ impl core::fmt::Display for Counter {
 }
 
 /// Streaming mean over `u64` samples (e.g. latencies in ns).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MeanStat {
     count: u64,
     sum: u128,
@@ -114,7 +120,7 @@ impl MeanStat {
 
 /// Power-of-two bucketed histogram (bucket 0 holds zero; bucket `i` holds
 /// values in `[2^(i-1), 2^i)`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; 64],
     stat: MeanStat,
@@ -145,14 +151,6 @@ impl Log2Histogram {
         &self.stat
     }
 
-    /// Raw bucket counts (bucket 0 holds zero; bucket `i` holds values in
-    /// `[2^(i-1), 2^i)`). Exposed for per-epoch delta sampling: bucket
-    /// counts are cumulative counters, so subtracting two snapshots yields
-    /// the distribution of the interval between them.
-    pub fn buckets(&self) -> &[u64; 64] {
-        &self.buckets
-    }
-
     /// Merges another histogram into this one (bucket-wise addition plus
     /// the underlying [`MeanStat`] merge). Used for per-epoch and
     /// cross-channel aggregation.
@@ -161,6 +159,21 @@ impl Log2Histogram {
             *b += o;
         }
         self.stat.merge(&other.stat);
+    }
+
+    /// The distribution recorded since the `earlier` snapshot of this
+    /// histogram: bucket-wise differences (saturating, so an external
+    /// reset in between cannot wrap), with the count taken from
+    /// those buckets and the sum from the two sums. Min and max stay the
+    /// later snapshot's, bounds on the interval's own.
+    pub fn delta(&self, earlier: &Log2Histogram) -> Log2Histogram {
+        let mut d = self.clone();
+        for (b, e) in d.buckets.iter_mut().zip(earlier.buckets.iter()) {
+            *b = b.saturating_sub(*e);
+        }
+        d.stat.count = d.buckets.iter().sum();
+        d.stat.sum = self.stat.sum.saturating_sub(earlier.stat.sum);
+        d
     }
 
     /// Value below which `q` (0..=1) of the samples fall, estimated at
@@ -329,7 +342,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.stat().count(), 3);
         assert_eq!(a.stat().max(), 1000);
-        assert_eq!(a.buckets(), b.buckets());
+        assert_eq!(a, b);
         // Empty into non-empty changes nothing.
         a.merge(&Log2Histogram::new());
         assert_eq!(a.stat().count(), 3);
@@ -338,6 +351,24 @@ mod tests {
         assert_eq!(a.stat().count(), 6);
         assert_eq!(a.iter().map(|(_, c)| c).sum::<u64>(), 6);
         assert_eq!(a.stat().sum(), 2 * (1 + 2 + 1000));
+    }
+
+    #[test]
+    fn delta_is_the_interval_distribution() {
+        let mut h = Log2Histogram::new();
+        h.record(5);
+        let earlier = h.clone();
+        h.record(5);
+        h.record(1000);
+        let d = h.delta(&earlier);
+        assert_eq!(d.stat().count(), 2);
+        assert_eq!(d.stat().sum(), 1005);
+        assert_eq!(d.stat().mean(), 502.5);
+        assert_eq!(d.quantile(0.5), 8); // 5 lands in [4, 8)
+        assert_eq!(d.quantile(1.0), 1024);
+        assert_eq!(h.delta(&h).quantile(0.5), 0);
+        // An external reset in between saturates instead of wrapping.
+        assert_eq!(Log2Histogram::new().delta(&h).stat().count(), 0);
     }
 
     #[test]

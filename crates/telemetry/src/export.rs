@@ -5,7 +5,7 @@
 //! print via Rust's shortest-roundtrip `Display`, and nothing depends on
 //! hashing or wall-clock time.
 
-use crate::record::FieldValue;
+use crate::record::{hist_summary, Value};
 use crate::recorder::Telemetry;
 use fgdram_model::json;
 use std::io::{self, Write};
@@ -25,11 +25,12 @@ pub fn to_jsonl_string(meta: &[(&str, &str)], t: &Telemetry) -> String {
                 o.object(c.component, |o| {
                     for (name, v) in &c.fields {
                         match v {
-                            FieldValue::U64(u) => o.u64(name, *u),
-                            FieldValue::F64(f) => o.f64(name, *f),
-                            FieldValue::Array(a) => o.u64s(name, a),
-                            FieldValue::Hist(h) => o.object(name, |o| {
-                                o.u64("count", h.count).u64("p50", h.p50).u64("p95", h.p95);
+                            Value::U64(u) => o.u64(name, *u),
+                            Value::F64(f) => o.f64(name, *f),
+                            Value::Array(a) => o.u64s(name, a),
+                            Value::Hist(h) => o.object(name, |o| {
+                                let [count, p50, p95] = hist_summary(h);
+                                o.u64("count", count).u64("p50", p50).u64("p95", p95);
                             }),
                         };
                     }
@@ -87,12 +88,12 @@ pub fn write_csv<W: Write>(
             for (name, v) in &c.fields {
                 let base = format!("{}.{}", c.component, name);
                 match v {
-                    FieldValue::Hist(_) => {
+                    Value::Hist(_) => {
                         cols.push(format!("{base}.count"));
                         cols.push(format!("{base}.p50"));
                         cols.push(format!("{base}.p95"));
                     }
-                    FieldValue::Array(_) => cols.push(format!("{base}.sum")),
+                    Value::Array(_) => cols.push(format!("{base}.sum")),
                     _ => cols.push(base),
                 }
             }
@@ -116,16 +117,17 @@ pub fn write_csv<W: Write>(
         for c in &r.components {
             for (_, v) in &c.fields {
                 match v {
-                    FieldValue::U64(u) => line.push_str(&format!(",{u}")),
-                    FieldValue::F64(f) => {
+                    Value::U64(u) => line.push_str(&format!(",{u}")),
+                    Value::F64(f) => {
                         line.push(',');
                         if f.is_finite() {
                             line.push_str(&format!("{f}"));
                         }
                     }
-                    FieldValue::Array(a) => line.push_str(&format!(",{}", a.iter().sum::<u64>())),
-                    FieldValue::Hist(h) => {
-                        line.push_str(&format!(",{},{},{}", h.count, h.p50, h.p95))
+                    Value::Array(a) => line.push_str(&format!(",{}", a.iter().sum::<u64>())),
+                    Value::Hist(h) => {
+                        let [count, p50, p95] = hist_summary(h);
+                        line.push_str(&format!(",{count},{p50},{p95}"))
                     }
                 }
             }
@@ -138,9 +140,14 @@ pub fn write_csv<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{ComponentRecord, EpochRecord, HistSummary};
+    use crate::record::{ComponentRecord, EpochRecord};
+    use fgdram_model::stats::Log2Histogram;
 
     fn sample_series() -> Telemetry {
+        let mut lat = Log2Histogram::new();
+        for v in [40, 40, 40, 40, 40, 100, 100, 100, 100] {
+            lat.record(v); // five in [32, 64), four in [64, 128)
+        }
         let rec = EpochRecord {
             index: 0,
             start_ns: 0,
@@ -148,10 +155,10 @@ mod tests {
             components: vec![ComponentRecord {
                 component: "ctrl",
                 fields: vec![
-                    ("reads", FieldValue::U64(42)),
-                    ("hit_rate", FieldValue::F64(0.5)),
-                    ("heat", FieldValue::Array(vec![1, 2, 3])),
-                    ("lat", FieldValue::Hist(HistSummary { count: 9, p50: 64, p95: 128 })),
+                    ("reads", Value::U64(42)),
+                    ("hit_rate", Value::F64(0.5)),
+                    ("heat", Value::Array(vec![1, 2, 3])),
+                    ("lat", Value::Hist(Box::new(lat))),
                 ],
             }],
         };
@@ -173,7 +180,7 @@ mod tests {
     #[test]
     fn json_escapes_and_non_finite() {
         let mut t = sample_series();
-        t.records[0].components[0].fields = vec![("nan", FieldValue::F64(f64::NAN))];
+        t.records[0].components[0].fields = vec![("nan", Value::F64(f64::NAN))];
         let s = to_jsonl_string(&[("workload", "a\"b\\c\nd\u{1}")], &t);
         assert_eq!(
             s,

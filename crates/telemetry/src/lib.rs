@@ -14,13 +14,16 @@
 //! ## The delta-snapshot pattern
 //!
 //! Components never maintain per-epoch state. They implement [`Sampled`]
-//! by dumping their *cumulative* counters into a [`SampleBuf`]; the
-//! [`Recorder`] keeps the previous snapshot per component and subtracts,
-//! so each [`EpochRecord`] carries exactly what happened inside one epoch.
-//! Monotonic kinds (counters, counter arrays, log2-histogram buckets) are
-//! subtracted; gauges pass through as instantaneous readings; a
-//! post-delta [`Sampled::derive`] hook turns per-epoch deltas into rates
-//! and ratios (row-hit rate, busy fraction, pJ/bit).
+//! by dumping their *cumulative* counters into a [`ComponentRecord`]; the
+//! [`Recorder`] keeps the previous snapshot per component and takes
+//! [`ComponentRecord::delta`], so each [`EpochRecord`] carries exactly
+//! what happened inside one epoch. Every sampled [`Value`] subtracts
+//! (counts, float accumulators, arrays element-wise, histograms
+//! bucket-wise); a post-delta [`Sampled::derive`] hook then appends
+//! instantaneous gauges and the epoch's derived numbers, calling the
+//! end-of-run report's own functions (`CtrlStats::hit_rate`,
+//! `GbPerSec::from_bytes_over`, `EnergyBreakdown::per_bit`, ...), so an
+//! epoch spanning a whole window reads what the report does.
 //!
 //! ## Determinism
 //!
@@ -31,7 +34,7 @@
 //! ## Examples
 //!
 //! ```
-//! use fgdram_telemetry::{Recorder, SampleBuf, Sampled, TelemetryConfig};
+//! use fgdram_telemetry::{ComponentRecord, Recorder, Sampled, TelemetryConfig};
 //!
 //! struct Widget {
 //!     ops: u64,
@@ -40,7 +43,7 @@
 //!     fn component(&self) -> &'static str {
 //!         "widget"
 //!     }
-//!     fn sample(&self, out: &mut SampleBuf) {
+//!     fn sample(&self, out: &mut ComponentRecord) {
 //!         out.counter("ops", self.ops);
 //!     }
 //! }
@@ -65,6 +68,6 @@ pub mod record;
 pub mod recorder;
 pub mod sample;
 
-pub use record::{ComponentRecord, EpochRecord, FieldValue, HistSummary};
+pub use record::{ComponentRecord, EpochRecord, Value};
 pub use recorder::{check_epochs, Recorder, Telemetry, TelemetryConfig, MAX_EPOCHS};
-pub use sample::{RawValue, SampleBuf, Sampled};
+pub use sample::Sampled;

@@ -1,18 +1,18 @@
 //! The epoch recorder: drives delta snapshots off simulated time.
 
 use crate::record::{ComponentRecord, EpochRecord};
-use crate::sample::{SampleBuf, Sampled};
+use crate::sample::Sampled;
 use fgdram_model::units::Ns;
 
 /// Most epoch records a run may keep in memory at once, summed over the
 /// series it holds: a suite keeps cells × ⌈window / epoch⌉, a single run
-/// one series. An FGDRAM record holds the 2 048-counter activate heatmap
-/// (16 KiB) plus 54 other fields, about 19 KiB resident, and exports to
-/// 5.3–5.9 KB of JSONL; a QB-HBM record holds 384 counters, about 6 KiB,
-/// and exports to 2.0–2.3 KB. So the bound caps one run's records at
-/// about 1 GB (all FGDRAM; a suite is half QB-HBM) and its JSONL at
-/// 300 MB, and still admits the full graphics suite at the CLI defaults
-/// (160 cells × 100 epochs).
+/// one series. An FGDRAM record holds 54 fields with 2 048 array counters
+/// (16 KiB) and two 64-bucket histograms, about 20 KiB resident, and
+/// exports to 6.4–8.0 KB of JSONL (STREAM, GUPS); a QB-HBM record holds
+/// 384 array counters, about 7 KiB, and exports to 2.2–2.6 KB. So the
+/// bound caps one run's records at about 1 GB (all FGDRAM; a suite is
+/// half QB-HBM) and its JSONL at 400 MB, and still admits the full
+/// graphics suite at the CLI defaults (160 cells × 100 epochs).
 pub const MAX_EPOCHS: u64 = 50_000;
 
 /// Checks that `series` telemetry series of a `window`-ns measurement at
@@ -80,7 +80,7 @@ pub struct Telemetry {
 pub struct Recorder {
     epoch_ns: Ns,
     epoch_start: Ns,
-    prev: Vec<SampleBuf>,
+    prev: Vec<ComponentRecord>,
     records: Vec<EpochRecord>,
     started: bool,
 }
@@ -107,14 +107,7 @@ impl Recorder {
     pub fn start(&mut self, now: Ns, sources: &[&dyn Sampled]) {
         self.epoch_start = now;
         self.records.clear();
-        self.prev = sources
-            .iter()
-            .map(|s| {
-                let mut buf = SampleBuf::new();
-                s.sample(&mut buf);
-                buf
-            })
-            .collect();
+        self.prev = sources.iter().map(|s| s.snapshot()).collect();
         self.started = true;
     }
 
@@ -149,11 +142,10 @@ impl Recorder {
         let epoch_len = end - self.epoch_start;
         let mut components = Vec::with_capacity(sources.len());
         for (src, prev) in sources.iter().zip(self.prev.iter_mut()) {
-            let mut cur = SampleBuf::new();
-            src.sample(&mut cur);
-            let mut delta = SampleBuf::delta(prev, &cur);
-            src.derive(&mut delta, epoch_len);
-            components.push(ComponentRecord::from_delta(src.component(), &delta));
+            let cur = src.snapshot();
+            let mut epoch = cur.delta(prev);
+            src.derive(&mut epoch, epoch_len);
+            components.push(epoch);
             *prev = cur;
         }
         self.records.push(EpochRecord {
@@ -180,21 +172,18 @@ mod tests {
         fn component(&self) -> &'static str {
             "fake"
         }
-        fn sample(&self, out: &mut SampleBuf) {
+        fn sample(&self, out: &mut ComponentRecord) {
             out.counter("ops", self.ops.get());
-            out.gauge("depth", self.depth.get());
         }
-        fn derive(&self, delta: &mut SampleBuf, epoch_ns: Ns) {
-            let rate = delta.get_u64("ops") as f64 / epoch_ns as f64;
-            delta.gauge("ops_per_ns", rate);
+        fn derive(&self, epoch: &mut ComponentRecord, epoch_ns: Ns) {
+            epoch.gauge("depth", self.depth.get());
+            let rate = epoch.get_u64("ops") as f64 / epoch_ns as f64;
+            epoch.gauge("ops_per_ns", rate);
         }
     }
 
     fn record_u64(t: &Telemetry, epoch: usize, field: &str) -> u64 {
-        match t.records[epoch].component("fake").unwrap().get(field).unwrap() {
-            crate::record::FieldValue::U64(v) => *v,
-            other => panic!("unexpected kind {other:?}"),
-        }
+        t.records[epoch].component("fake").unwrap().get_u64(field)
     }
 
     #[test]
@@ -255,10 +244,11 @@ mod tests {
         f.ops.set(50);
         let t = rec.finish(100, &[&f]);
         let c = t.records[0].component("fake").unwrap();
-        match c.get("ops_per_ns").unwrap() {
-            crate::record::FieldValue::F64(v) => assert!((v - 0.5).abs() < 1e-12),
-            other => panic!("unexpected kind {other:?}"),
-        }
+        assert_eq!(
+            c.fields.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+            ["ops", "depth", "ops_per_ns"]
+        );
+        assert_eq!(c.get_f64("ops_per_ns"), 0.5);
     }
 
     #[test]

@@ -1,148 +1,12 @@
-//! The [`Sampled`] trait and raw snapshot buffers.
+//! The [`Sampled`] trait: how a component exposes itself to the recorder.
 
+use crate::record::ComponentRecord;
 use fgdram_model::units::Ns;
-
-/// One raw sampled value. The kind decides how the recorder turns two
-/// consecutive snapshots into a per-epoch reading.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RawValue {
-    /// Monotonic event count; per-epoch value is the delta.
-    Counter(u64),
-    /// Monotonic float accumulator (e.g. cumulative picojoules); delta'd.
-    CounterF64(f64),
-    /// Instantaneous reading (queue occupancy, active warps); passed
-    /// through unchanged.
-    Gauge(f64),
-    /// Array of monotonic counters (per-bank heatmaps); element-wise delta.
-    CounterArray(Vec<u64>),
-    /// Cumulative log2-histogram buckets (layout of
-    /// `fgdram_model::stats::Log2Histogram`); the bucket-wise delta is the
-    /// epoch's distribution, summarised as count/p50/p95.
-    Log2Hist(Vec<u64>),
-}
-
-/// An ordered, named collection of raw values — one component's snapshot.
-///
-/// Field order is insertion order and must be identical on every
-/// [`Sampled::sample`] call: the recorder pairs fields positionally when
-/// computing deltas, and exporters derive the schema from it.
-#[derive(Debug, Clone, Default)]
-pub struct SampleBuf {
-    fields: Vec<(&'static str, RawValue)>,
-}
-
-impl SampleBuf {
-    /// New empty buffer.
-    pub fn new() -> Self {
-        SampleBuf { fields: Vec::new() }
-    }
-
-    /// Appends a monotonic counter.
-    pub fn counter(&mut self, name: &'static str, v: u64) {
-        self.fields.push((name, RawValue::Counter(v)));
-    }
-
-    /// Appends a monotonic float accumulator.
-    pub fn counter_f64(&mut self, name: &'static str, v: f64) {
-        self.fields.push((name, RawValue::CounterF64(v)));
-    }
-
-    /// Appends an instantaneous gauge.
-    pub fn gauge(&mut self, name: &'static str, v: f64) {
-        self.fields.push((name, RawValue::Gauge(v)));
-    }
-
-    /// Appends an array of monotonic counters.
-    pub fn counter_array(&mut self, name: &'static str, v: Vec<u64>) {
-        self.fields.push((name, RawValue::CounterArray(v)));
-    }
-
-    /// Appends cumulative log2-histogram buckets.
-    pub fn log2_hist(&mut self, name: &'static str, buckets: &[u64; 64]) {
-        self.fields.push((name, RawValue::Log2Hist(buckets.to_vec())));
-    }
-
-    /// The fields in insertion order.
-    pub fn fields(&self) -> &[(&'static str, RawValue)] {
-        &self.fields
-    }
-
-    /// Looks a field up by name (for [`Sampled::derive`] implementations).
-    pub fn get(&self, name: &str) -> Option<&RawValue> {
-        self.fields.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
-    }
-
-    /// A counter field's value, or 0 when absent or of another kind.
-    pub fn get_u64(&self, name: &str) -> u64 {
-        match self.get(name) {
-            Some(RawValue::Counter(v)) => *v,
-            _ => 0,
-        }
-    }
-
-    /// A float-counter or gauge field's value, or 0.0 otherwise.
-    pub fn get_f64(&self, name: &str) -> f64 {
-        match self.get(name) {
-            Some(RawValue::CounterF64(v)) | Some(RawValue::Gauge(v)) => *v,
-            _ => 0.0,
-        }
-    }
-
-    /// Sum of a counter-array field, or 0 when absent.
-    pub fn get_array_sum(&self, name: &str) -> u64 {
-        match self.get(name) {
-            Some(RawValue::CounterArray(v)) => v.iter().sum(),
-            _ => 0,
-        }
-    }
-
-    /// Computes the delta snapshot `cur - prev`.
-    ///
-    /// Both buffers must come from the same [`Sampled::sample`]
-    /// implementation: identical field names, kinds, and array lengths, in
-    /// the same order (debug-asserted). Counters subtract saturating so a
-    /// mid-window external reset degrades to a zero reading instead of
-    /// wrapping.
-    pub fn delta(prev: &SampleBuf, cur: &SampleBuf) -> SampleBuf {
-        debug_assert_eq!(prev.fields.len(), cur.fields.len(), "snapshot schema changed");
-        let fields = cur
-            .fields
-            .iter()
-            .zip(prev.fields.iter())
-            .map(|((name, c), (pname, p))| {
-                debug_assert_eq!(name, pname, "snapshot field order changed");
-                let v = match (c, p) {
-                    (RawValue::Counter(c), RawValue::Counter(p)) => {
-                        RawValue::Counter(c.saturating_sub(*p))
-                    }
-                    (RawValue::CounterF64(c), RawValue::CounterF64(p)) => {
-                        RawValue::CounterF64(c - p)
-                    }
-                    (RawValue::Gauge(c), RawValue::Gauge(_)) => RawValue::Gauge(*c),
-                    (RawValue::CounterArray(c), RawValue::CounterArray(p)) => {
-                        RawValue::CounterArray(
-                            c.iter().zip(p.iter()).map(|(c, p)| c.saturating_sub(*p)).collect(),
-                        )
-                    }
-                    (RawValue::Log2Hist(c), RawValue::Log2Hist(p)) => RawValue::Log2Hist(
-                        c.iter().zip(p.iter()).map(|(c, p)| c.saturating_sub(*p)).collect(),
-                    ),
-                    (c, _) => {
-                        debug_assert!(false, "snapshot field kind changed for {name}");
-                        c.clone()
-                    }
-                };
-                (*name, v)
-            })
-            .collect();
-        SampleBuf { fields }
-    }
-}
 
 /// A component that can be observed by the epoch sampler.
 ///
-/// Implementations dump *cumulative* counters — never per-epoch state —
-/// and may derive rates/ratios from the computed delta afterwards.
+/// Implementations dump *cumulative* values — never per-epoch state — and
+/// append instantaneous readings and derived numbers after the delta.
 pub trait Sampled {
     /// Stable component name; becomes the JSONL object key ("ctrl",
     /// "dram", "gpu", "l2", "energy").
@@ -150,95 +14,110 @@ pub trait Sampled {
 
     /// Writes the cumulative snapshot. Must emit the same fields in the
     /// same order on every call.
-    fn sample(&self, out: &mut SampleBuf);
+    fn sample(&self, out: &mut ComponentRecord);
 
-    /// Post-delta hook: append gauge fields computed from the epoch's
-    /// delta (`epoch_ns` is the epoch's actual duration — shorter than the
-    /// configured epoch for a final partial window). Default: nothing.
-    fn derive(&self, _delta: &mut SampleBuf, _epoch_ns: Ns) {}
-}
+    /// Post-delta hook: append gauges (instantaneous readings of `self`)
+    /// and the numbers derived from the epoch's delta, computed by the
+    /// same functions as the end-of-run report (`epoch_ns` is the epoch's
+    /// actual duration — shorter than the configured epoch for a final
+    /// partial window). Default: nothing.
+    fn derive(&self, _epoch: &mut ComponentRecord, _epoch_ns: Ns) {}
 
-/// Value below which `q` (0..=1) of the samples in a log2-bucket delta
-/// fall, at bucket-edge resolution (mirrors
-/// `fgdram_model::stats::Log2Histogram::quantile`, which cannot be used
-/// directly because a delta exists only as raw buckets). Returns 0 for an
-/// empty distribution.
-pub fn log2_bucket_quantile(buckets: &[u64], q: f64) -> u64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0;
+    /// The cumulative snapshot as a record named after the component.
+    fn snapshot(&self) -> ComponentRecord {
+        let mut r = ComponentRecord::new(self.component());
+        self.sample(&mut r);
+        r
     }
-    let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-    let mut seen = 0;
-    for (i, &b) in buckets.iter().enumerate() {
-        seen += b;
-        if seen >= target.max(1) {
-            return if i == 0 { 1 } else { 1u64 << i };
-        }
-    }
-    // Unreachable for consistent buckets; cap at the top edge.
-    1u64 << (buckets.len().min(64) - 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{hist_summary, Value};
+    use fgdram_model::stats::Log2Histogram;
+
+    /// One counter of each kind, and a gauge `derive` reads off `self`.
+    struct Widget {
+        ops: u64,
+        pj: f64,
+        heat: Vec<u64>,
+        lat: Log2Histogram,
+        depth: f64,
+    }
+
+    impl Sampled for Widget {
+        fn component(&self) -> &'static str {
+            "widget"
+        }
+        fn sample(&self, out: &mut ComponentRecord) {
+            out.counter("ops", self.ops);
+            out.counter_f64("pj", self.pj);
+            out.counter_array("heat", self.heat.clone());
+            out.log2_hist("lat", &self.lat);
+        }
+        fn derive(&self, epoch: &mut ComponentRecord, _epoch_ns: Ns) {
+            epoch.gauge("depth", self.depth);
+        }
+    }
+
+    fn widget(ops: u64) -> Widget {
+        Widget { ops, pj: 0.0, heat: vec![0; 3], lat: Log2Histogram::new(), depth: 0.0 }
+    }
+
+    /// The epoch `cur` records after `prev`, as the recorder emits it.
+    fn epoch(prev: &Widget, cur: &Widget) -> ComponentRecord {
+        let mut e = cur.snapshot().delta(&prev.snapshot());
+        cur.derive(&mut e, 1);
+        e
+    }
 
     #[test]
     fn delta_subtracts_counters_and_passes_gauges() {
-        let mut prev = SampleBuf::new();
-        prev.counter("ops", 10);
-        prev.counter_f64("pj", 1.5);
-        prev.gauge("depth", 4.0);
-        prev.counter_array("heat", vec![1, 2, 3]);
-        let mut cur = SampleBuf::new();
-        cur.counter("ops", 17);
-        cur.counter_f64("pj", 4.0);
-        cur.gauge("depth", 9.0);
-        cur.counter_array("heat", vec![2, 2, 10]);
-        let d = SampleBuf::delta(&prev, &cur);
-        assert_eq!(d.get_u64("ops"), 7);
-        assert!((d.get_f64("pj") - 2.5).abs() < 1e-12);
-        assert_eq!(d.get_f64("depth"), 9.0);
-        assert_eq!(d.get_array_sum("heat"), 8); // per-element deltas 1, 0, 7
+        let prev = Widget { pj: 1.5, heat: vec![1, 2, 3], depth: 4.0, ..widget(10) };
+        let cur = Widget { pj: 4.0, heat: vec![2, 2, 10], depth: 9.0, ..widget(17) };
+        let e = epoch(&prev, &cur);
+        assert_eq!(e.component, "widget");
+        assert_eq!(e.get_u64("ops"), 7);
+        assert!((e.get_f64("pj") - 2.5).abs() < 1e-12);
+        assert_eq!(e.get("heat"), Some(&Value::Array(vec![1, 0, 7])));
+        assert_eq!(e.get_f64("depth"), 9.0);
+        assert_eq!(e.fields.last().map(|(n, _)| *n), Some("depth"), "gauges follow the delta");
     }
 
     #[test]
     fn delta_saturates_on_external_reset() {
-        let mut prev = SampleBuf::new();
-        prev.counter("ops", 100);
-        let mut cur = SampleBuf::new();
-        cur.counter("ops", 3); // counter was reset under us
-        assert_eq!(SampleBuf::delta(&prev, &cur).get_u64("ops"), 3u64.saturating_sub(100));
+        // The counter was reset under us between the two snapshots.
+        assert_eq!(epoch(&widget(100), &widget(3)).get_u64("ops"), 0);
     }
 
     #[test]
     fn hist_delta_is_bucketwise() {
-        use fgdram_model::stats::Log2Histogram;
-        let mut h = Log2Histogram::new();
-        h.record(5);
-        let mut prev = SampleBuf::new();
-        prev.log2_hist("lat", h.buckets());
-        h.record(5);
-        h.record(1000);
-        let mut cur = SampleBuf::new();
-        cur.log2_hist("lat", h.buckets());
-        let d = SampleBuf::delta(&prev, &cur);
-        let RawValue::Log2Hist(b) = d.get("lat").unwrap() else { panic!("kind") };
-        assert_eq!(b.iter().sum::<u64>(), 2);
-        assert_eq!(log2_bucket_quantile(b, 0.5), 8); // 5 lands in (4,8]
-        assert_eq!(log2_bucket_quantile(b, 1.0), 1024);
+        let mut prev = widget(0);
+        prev.lat.record(5);
+        let mut cur = widget(0);
+        cur.lat = prev.lat.clone();
+        cur.lat.record(5);
+        cur.lat.record(1000);
+        let lat = epoch(&prev, &cur).get_hist("lat");
+        assert_eq!(lat.stat().count(), 2);
+        assert_eq!(lat.stat().mean(), 502.5);
+        assert_eq!(hist_summary(&lat), [2, 8, 1024]); // 5 lands in [4, 8)
     }
 
     #[test]
     fn quantile_of_empty_is_zero() {
-        assert_eq!(log2_bucket_quantile(&[0; 64], 0.5), 0);
+        let mut w = widget(0);
+        w.lat.record(7);
+        assert_eq!(hist_summary(&epoch(&w, &w).get_hist("lat")), [0, 0, 0]);
     }
 
     #[test]
     fn quantile_of_zero_bucket_is_one() {
-        let mut b = [0u64; 64];
-        b[0] = 10; // ten zero-valued samples
-        assert_eq!(log2_bucket_quantile(&b, 0.5), 1);
+        let mut cur = widget(0);
+        for _ in 0..10 {
+            cur.lat.record(0); // ten zero-valued samples
+        }
+        assert_eq!(hist_summary(&epoch(&widget(0), &cur).get_hist("lat")), [10, 1, 1]);
     }
 }
