@@ -41,16 +41,16 @@ impl Sampled for EnergySampler<'_> {
 
     fn derive(&self, epoch: &mut ComponentRecord, _epoch_ns: Ns) {
         let pj = |name| Picojoules::new(epoch.get_f64(name));
-        let energy = EnergyBreakdown {
+        let per_bit = EnergyBreakdown {
             activation: pj("act_pj"),
             data_movement: pj("move_pj"),
             io: pj("io_pj"),
-        };
-        let per_bit = energy.per_bit(epoch.get_u64("bits"));
+        }
+        .per_bit(epoch.get_u64("bits"));
         epoch.gauge("act_pj_per_bit", per_bit.activation.value());
         epoch.gauge("move_pj_per_bit", per_bit.data_movement.value());
         epoch.gauge("io_pj_per_bit", per_bit.io.value());
-        epoch.gauge("pj_per_bit", energy.total().per_bits(epoch.get_u64("bits")).value());
+        epoch.gauge("pj_per_bit", per_bit.total().value());
     }
 }
 
@@ -88,6 +88,6 @@ mod tests {
         let total = d.get_f64("pj_per_bit");
         let parts =
             d.get_f64("act_pj_per_bit") + d.get_f64("move_pj_per_bit") + d.get_f64("io_pj_per_bit");
-        assert!((total - parts).abs() < 1e-9);
+        assert_eq!(total, parts, "EnergyPerBit::total sums the components in this order");
     }
 }

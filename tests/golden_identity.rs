@@ -13,7 +13,10 @@
 //! were first verified byte-identical against the previous golden, then
 //! the phase formula's `% t_refi` clamp landed as that PR's one
 //! intentional change (only the last channel's refresh phase moves,
-//! t_refi -> 0).
+//! t_refi -> 0). A third regeneration moved only the telemetry
+//! `pj_per_bit` values, in the last digit: the epoch's total pJ/b became
+//! the report's `EnergyPerBit::total` (the sum of the per-component
+//! quotients) instead of a quotient of the summed picojoules.
 //!
 //! `Debug` formatting round-trips every `f64` exactly, so equal strings
 //! mean equal bits. Regenerate the golden (only when an *intentional*

@@ -222,6 +222,7 @@ fn one_epoch_equals_the_report() {
                 r.p95_read_latency_ns as f64,
                 "{cell}"
             );
+            assert_eq!(num(&["energy", "pj_per_bit"]), r.energy_per_bit.total().value(), "{cell}");
         }
     }
 }
