@@ -78,4 +78,9 @@ diff <(sed '$d' EXPERIMENTS.md) <(sed '$d' "$sdir/EXP.md") ||
 echo "== lint: clippy (workspace, including fgdram-faults) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== lint: rustdoc (every library, warnings are errors) =="
+# --lib: the fgdram-serve bin and the fgdram_serve lib would both write
+# target/doc/fgdram_serve/index.html.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --lib
+
 echo "ci.sh: all green"

@@ -469,7 +469,7 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`SimError::Protocol`] on scheduler bugs, [`SimError::Stalled`] when
+    /// [`SimError::Protocol`] on scheduler bugs, [`SimError::Stall`] when
     /// progress stops entirely.
     pub fn run_for(&mut self, duration: Ns) -> Result<(), SimError> {
         let end = self.now.saturating_add(duration);

@@ -310,7 +310,7 @@ impl Controller {
     ///
     /// A due channel whose pass would issue nothing is re-armed at the
     /// wake that pass would compute, without running it
-    /// ([`ChannelSched::rearm`]; the module docs of `scheduler` give the
+    /// (`ChannelSched::rearm`; the module docs of `scheduler` give the
     /// argument). Debug builds run the pass anyway and check both claims.
     ///
     /// # Errors

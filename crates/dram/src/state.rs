@@ -6,9 +6,9 @@
 //! allocations. [`DeviceState`] flattens all of it into contiguous arrays
 //! indexed by a precomputed `(channel, bank, slot)` stride:
 //!
-//! - one packed [`SlotState`] record per row slot (fences + open-row
-//!   payload), one packed [`BankState`] per bank, one packed (cache-line
-//!   sized) [`ChannelState`] per channel — so a command touches a handful
+//! - one packed `SlotState` record per row slot (fences + open-row
+//!   payload), one packed `BankState` per bank, one packed (cache-line
+//!   sized) `ChannelState` per channel — so a command touches a handful
 //!   of lines instead of walking a per-field array scatter. A pure
 //!   one-array-per-field layout was measured first and *lost* to the
 //!   legacy engine on 512-grain GUPS: the simulator reads one channel's

@@ -505,12 +505,6 @@ pub enum ConfigError {
         /// Largest supported value.
         max: u64,
     },
-    /// An input artifact (e.g. a `--compare` snapshot) is missing a
-    /// required field or does not match the shape of the current run.
-    Artifact {
-        /// Human-readable description of the mismatch.
-        reason: String,
-    },
 }
 
 impl core::fmt::Display for ConfigError {
@@ -537,7 +531,6 @@ impl core::fmt::Display for ConfigError {
             ConfigError::FieldTooWide { name, value, max } => {
                 write!(f, "{name} ({value}) exceeds the supported maximum of {max}")
             }
-            ConfigError::Artifact { reason } => write!(f, "invalid input artifact: {reason}"),
         }
     }
 }
