@@ -283,7 +283,12 @@ impl L2Cache {
             return self.fill_sector(i, sector, token);
         }
 
-        // Miss: find a victim (invalid first, then LRU among unpinned).
+        // Miss. A load needs an MSHR entry: without one it must not evict.
+        if !is_store && self.free.is_empty() && self.mshrs.len() == self.mshr_capacity {
+            self.stats.blocked.incr();
+            return L2Access::Blocked;
+        }
+        // Find a victim (invalid first, then LRU among unpinned).
         let victim = self.find_way(set, 0).or_else(|| {
             (set * self.ways..(set + 1) * self.ways)
                 .filter(|&i| self.sectors[i].pending == 0)
@@ -526,6 +531,26 @@ mod tests {
         }
         // Third line: both ways pinned by pending fills.
         assert_eq!(c.access(PhysAddr(same_set[2] * 128), false, 9), L2Access::Blocked);
+    }
+
+    #[test]
+    fn a_load_without_an_mshr_evicts_nothing() {
+        let cfg = L2Config { capacity_bytes: 512, ways: 2, line_bytes: 128, ..L2Config::default() };
+        let mut c = L2Cache::new(cfg, 1);
+        let set0 = c.set_of(0);
+        let same: Vec<u64> = (0..).filter(|&la| c.set_of(la) == set0).take(3).collect();
+        let other = (0..).find(|&la| c.set_of(la) != set0).unwrap();
+        // Two dirty lines fill set 0; a load elsewhere takes the one MSHR.
+        for &la in &same[..2] {
+            assert_eq!(c.access(PhysAddr(la * 128), true, 0), L2Access::StoreDone);
+        }
+        assert!(matches!(c.access(PhysAddr(other * 128), false, 1), L2Access::Miss { .. }));
+        assert_eq!(c.access(PhysAddr(same[2] * 128), false, 2), L2Access::Blocked);
+        assert_eq!(c.stats().evictions.get(), 0);
+        assert!(c.take_writebacks().is_empty());
+        for &la in &same[..2] {
+            assert_eq!(c.access(PhysAddr(la * 128), false, 3), L2Access::Hit, "line {la} kept");
+        }
     }
 
     #[test]

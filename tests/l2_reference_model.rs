@@ -183,8 +183,8 @@ struct RefLine {
 /// Reference with fills in flight: per set an exact-LRU list of lines
 /// (front = oldest) and an MSHR `sector -> tokens in arrival order`
 /// holding at most `mshrs` fills. A line with a sector in the MSHR is
-/// never a victim. A load that claims a victim and then finds the MSHR
-/// full keeps the line it allocated (as the L2 does).
+/// never a victim. A load to a missing line that finds the MSHR full is
+/// blocked before it claims a victim (as the L2 is).
 struct InflightRef {
     sets: usize,
     ways: usize,
@@ -236,6 +236,10 @@ impl InflightRef {
                 (false, true) => L2Access::Hit,
                 (false, false) => self.fill(addr, token),
             };
+        }
+        if !is_store && self.mshr.len() == self.mshrs {
+            self.tally.blocked_mshr += 1;
+            return L2Access::Blocked;
         }
         if self.lines[set].len() == self.ways {
             let Some(pos) = self.lines[set].iter().position(|l| !self.pinned(l.line)) else {
